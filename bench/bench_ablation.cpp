@@ -14,6 +14,7 @@
 #include "detectors/detector.hpp"
 #include "detectors/sentinel.hpp"
 #include "eval/scorer.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -24,15 +25,14 @@ struct Cells {
   double ensemble_recall = 0.0;  ///< 1oo2 recall from eval::Scorer
 };
 
-Cells run_pair(const traffic::ScenarioConfig& scenario,
+Cells run_pair(const workload::ScenarioSpec& spec,
                detectors::SentinelConfig sc, detectors::ArcaneConfig ac) {
   detectors::SentinelDetector sentinel(sc);
   detectors::ArcaneDetector arcane(ac);
-  traffic::Scenario source(scenario);
   eval::Scorer scorer({"sentinel", "arcane"});
-  httplog::LogRecord record;
   Cells cells;
-  while (source.next(record)) {
+  workload::WorkloadEngine engine(spec);
+  (void)engine.run([&](httplog::LogRecord&& record) {
     const detectors::Verdict verdicts[2] = {sentinel.evaluate(record),
                                             arcane.evaluate(record)};
     scorer.observe(record, verdicts);
@@ -46,7 +46,7 @@ Cells run_pair(const traffic::ScenarioConfig& scenario,
       ++cells.a_only;
     else
       ++cells.neither;
-  }
+  });
   const auto score = scorer.finish("amadeus_like", 1.0);
   cells.ensemble_recall = score.columns.back().recall();
   return cells;
@@ -65,7 +65,7 @@ void print_row(const char* name, const Cells& c) {
 
 int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv, 0.15);
-  const auto scenario = traffic::amadeus_like(scale);
+  const auto scenario = bench::amadeus_like(scale);
   std::printf("# ablation of detector mechanisms, scale=%.3f\n\n", scale);
   std::printf("  %-34s %12s %12s %12s %12s %11s\n", "configuration", "both",
               "neither", "sentinel-only", "arcane-only", "1oo2-recall");

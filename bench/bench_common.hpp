@@ -2,7 +2,8 @@
 // paper-pair experiment, and paper-vs-measured row printing.
 //
 // Every table bench accepts an optional scale argument (default 1.0 =
-// paper-sized, ~1.47M requests, a few seconds) and prints, for each row of
+// paper-sized, ~1.44M requests of the catalog amadeus_like spec, a few
+// seconds) and prints, for each row of
 // the corresponding paper table: the published count, the measured count
 // (linearly rescaled to paper scale when scale < 1 so the comparison stays
 // readable), the relative deviation, and a factor-of-two shape verdict.
@@ -18,12 +19,12 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/json.hpp"
 #include "core/paper_reference.hpp"
 #include "core/report.hpp"
-#include "traffic/scenario.hpp"
 #include "util/rss.hpp"
+#include "workload/catalog.hpp"
+#include "workload/experiment.hpp"
 
 namespace divscrape::bench {
 
@@ -169,14 +170,17 @@ inline bool write_throughput_json(const std::string& path,
   return static_cast<bool>(out);
 }
 
+/// The catalog amadeus_like spec (the paper reproduction) at `scale`.
+inline workload::ScenarioSpec amadeus_like(double scale) {
+  return *workload::catalog_entry("amadeus_like", scale);
+}
+
 /// Runs the paper deployment on the amadeus_like scenario at `scale`.
-inline core::ExperimentOutput run_paper(double scale) {
-  core::ExperimentConfig config;
-  config.scenario = traffic::amadeus_like(scale);
+inline workload::ExperimentOutput run_paper(double scale) {
+  const auto spec = amadeus_like(scale);
   std::printf("# divscrape :: scenario=amadeus_like scale=%.3f seed=%llu\n",
-              scale,
-              static_cast<unsigned long long>(config.scenario.seed));
-  auto out = core::run_paper_experiment(config);
+              scale, static_cast<unsigned long long>(spec.seed));
+  auto out = workload::run_paper_experiment(spec);
   std::printf("# processed %s records in %.2fs (%.0f records/s)\n\n",
               core::with_thousands(out.records).c_str(), out.wall_seconds,
               out.throughput_rps());

@@ -12,23 +12,23 @@
 #include "detectors/registry.hpp"
 #include "detectors/sentinel.hpp"
 #include "httplog/clf.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
 using namespace divscrape;
 
+/// The catalog smoke spec cut to `days` of simulated time.
+workload::ScenarioSpec smoke(double days) {
+  auto spec = *workload::catalog_entry("smoke");
+  spec.duration_days = days;
+  return spec;
+}
+
 // A captive slice of scenario traffic shared by the record-level benches.
 const std::vector<httplog::LogRecord>& sample_records() {
-  static const auto records = [] {
-    auto config = traffic::smoke_test();
-    config.duration_days = 0.2;
-    traffic::Scenario scenario(config);
-    std::vector<httplog::LogRecord> out;
-    httplog::LogRecord r;
-    while (scenario.next(r)) out.push_back(r);
-    return out;
-  }();
+  static const auto records = workload::generate(smoke(0.2));
   return records;
 }
 
@@ -149,12 +149,8 @@ BENCHMARK(BM_ArcaneEvaluate);
 
 void BM_TrafficGeneration(benchmark::State& state) {
   for (auto _ : state) {
-    auto config = traffic::smoke_test();
-    config.duration_days = 0.05;
-    traffic::Scenario scenario(config);
-    httplog::LogRecord r;
-    std::uint64_t n = 0;
-    while (scenario.next(r)) ++n;
+    workload::WorkloadEngine engine(smoke(0.05));
+    const std::uint64_t n = engine.run([](httplog::LogRecord&&) {});
     benchmark::DoNotOptimize(n);
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(n));
@@ -164,17 +160,11 @@ BENCHMARK(BM_TrafficGeneration)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndJoinedPair(benchmark::State& state) {
   for (auto _ : state) {
-    auto config = traffic::smoke_test();
-    config.duration_days = 0.05;
-    traffic::Scenario scenario(config);
     const auto pool = detectors::make_paper_pair();
     core::AlertJoiner joiner(pool);
-    httplog::LogRecord r;
-    std::uint64_t n = 0;
-    while (scenario.next(r)) {
-      (void)joiner.process(r);
-      ++n;
-    }
+    workload::WorkloadEngine engine(smoke(0.05));
+    const std::uint64_t n = engine.run(
+        [&joiner](httplog::LogRecord&& r) { (void)joiner.process(r); });
     benchmark::DoNotOptimize(joiner.results().total_requests());
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(n));

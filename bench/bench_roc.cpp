@@ -15,12 +15,13 @@
 #include "detectors/registry.hpp"
 #include "eval/scorer.hpp"
 #include "ml/metrics.hpp"
+#include "workload/engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace divscrape;
 
   const double scale = bench::parse_scale(argc, argv, 0.1);
-  auto scenario = traffic::amadeus_like(scale);
+  const auto spec = bench::amadeus_like(scale);
   std::printf("# E8: score-threshold ROC sweep, scale=%.3f\n\n", scale);
 
   const auto pool = detectors::make_paper_pair();
@@ -29,9 +30,10 @@ int main(int argc, char** argv) {
   core::AlertJoiner joiner(pool);
   eval::Scorer scorer(names);
 
-  traffic::Scenario source(scenario);
-  httplog::LogRecord record;
-  while (source.next(record)) scorer.observe(record, joiner.process(record));
+  workload::WorkloadEngine engine(spec);
+  (void)engine.run([&](httplog::LogRecord&& record) {
+    scorer.observe(record, joiner.process(record));
+  });
 
   const auto score = scorer.finish("amadeus_like", scale);
   for (std::size_t d = 0; d < scorer.column_count(); ++d) {

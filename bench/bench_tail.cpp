@@ -1,4 +1,4 @@
-// Live-ingest throughput: StreamWriter pumps the paper-shaped workload
+// Live-ingest throughput: StreamWriter writes the paper-shaped workload
 // into growing CLF files (torn writes enabled, like a real Apache worker
 // pool) while the tail stack consumes them — the deployment-shaped
 // counterpart to bench_throughput's in-memory runs. Four rows:
@@ -35,6 +35,7 @@
 #include "traffic/stream_writer.hpp"
 #include "util/interner.hpp"
 #include "util/state.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -46,6 +47,20 @@ constexpr std::size_t kShards = 2;
 /// per kWriterBatch lines instead of one per line (torn writes still flush
 /// mid-line, keeping the partial-line path hot for the reader).
 constexpr std::size_t kWriterBatch = 256;
+
+/// Generates the amadeus_like stream at `scale` into `write`, calling
+/// `on_burst` (the reader's poll point; false stops generation) every 4096
+/// records and once after the last one.
+template <typename Write, typename Burst>
+void generate_in_bursts(double scale, Write&& write, Burst&& on_burst) {
+  workload::WorkloadEngine gen(bench::amadeus_like(scale));
+  std::size_t written = 0;
+  (void)gen.run([&](httplog::LogRecord&& record) {
+    write(record);
+    if (++written % 4096 == 0 && !on_burst()) gen.request_stop();
+  });
+  if (!gen.stop_requested()) (void)on_burst();
+}
 
 std::uint32_t route(const httplog::LogRecord& record) {
   // Per-vhost-style split that respects the detector state key: all
@@ -80,21 +95,19 @@ struct MultiLogs {
 
 /// Generates the scenario, routing each record to its file while polling
 /// the tailer every batch. Returns wall seconds for the whole live loop.
-double pump_multi(MultiLogs& logs, pipeline::MultiTailer& tailer,
+double write_multi(MultiLogs& logs, pipeline::MultiTailer& tailer,
                   double scale) {
-  traffic::Scenario scenario(traffic::amadeus_like(scale));
   const auto t0 = std::chrono::steady_clock::now();
-  httplog::LogRecord record;
-  std::size_t pumped = 0;
-  while (scenario.next(record)) {
-    logs.writers[route(record)]->write(record);
-    if (++pumped % 4096 == 0) {
-      for (auto& w : logs.writers) w->flush();  // poll sees a byte boundary
-      (void)tailer.poll();
-    }
-  }
-  for (auto& w : logs.writers) w->flush();
-  (void)tailer.poll();
+  generate_in_bursts(
+      scale,
+      [&](const httplog::LogRecord& record) {
+        logs.writers[route(record)]->write(record);
+      },
+      [&] {
+        for (auto& w : logs.writers) w->flush();  // poll sees a byte boundary
+        (void)tailer.poll();
+        return true;
+      });
   (void)tailer.flush();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -138,7 +151,6 @@ int main(int argc, char** argv) {
   // parse + both detectors — the full deployment loop.
   std::string tail_results;
   {
-    traffic::Scenario scenario(traffic::amadeus_like(scale));
     traffic::StreamWriter::FaultPlan plan;
     plan.tear_every = 97;  // exercise the partial-line path continuously
     traffic::StreamWriter writer(log_path, plan, kWriterBatch);
@@ -147,8 +159,13 @@ int main(int argc, char** argv) {
     pipeline::LogTailer tailer(log_path, engine);
 
     const auto t0 = std::chrono::steady_clock::now();
-    while (writer.pump(scenario, 4096) > 0) (void)tailer.poll();
-    (void)tailer.poll();
+    generate_in_bursts(
+        scale, [&](const httplog::LogRecord& r) { writer.write(r); },
+        [&] {
+          writer.flush();
+          (void)tailer.poll();
+          return true;
+        });
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -184,7 +201,6 @@ int main(int argc, char** argv) {
   // of pipeline_warm_resume_test, timed.
   {
     const std::string warm_log = log_path + ".warm";
-    traffic::Scenario scenario(traffic::amadeus_like(scale));
     traffic::StreamWriter::FaultPlan plan;
     plan.tear_every = 97;
     traffic::StreamWriter writer(warm_log, plan, kWriterBatch);
@@ -193,38 +209,49 @@ int main(int argc, char** argv) {
     auto tailer = std::make_unique<pipeline::LogTailer>(warm_log, *engine);
     std::vector<std::unique_ptr<detectors::Detector>> resumed_pool;
 
+    // The kill and warm restart; false (with a FAIL line) on any error.
+    const auto restart = [&] {
+      pipeline::Checkpoint cp = tailer->checkpoint();
+      util::StateWriter w;
+      if (!engine->save_state(w)) {
+        std::fprintf(stderr, "FAIL: warm_resume cannot serialize state\n");
+        return false;
+      }
+      cp.state = w.take();
+      const auto saved = pipeline::Checkpoint::from_json(cp.to_json());
+      tailer.reset();
+      engine.reset();  // the kill
+      resumed_pool = detectors::make_paper_pair();
+      engine = std::make_unique<pipeline::ReplayEngine>(resumed_pool);
+      tailer = std::make_unique<pipeline::LogTailer>(warm_log, *engine);
+      if (!saved || !tailer->resume(*saved)) {
+        std::fprintf(stderr, "FAIL: warm_resume offset not honored\n");
+        return false;
+      }
+      util::StateReader r(saved->state);
+      if (!engine->load_state(r)) {
+        std::fprintf(stderr, "FAIL: warm_resume cannot restore state\n");
+        return false;
+      }
+      return true;
+    };
+
     const auto t0 = std::chrono::steady_clock::now();
     std::size_t batches = 0;
     bool restarted = false;
-    while (writer.pump(scenario, 4096) > 0) {
-      (void)tailer->poll();
-      if (!restarted && ++batches == 32) {
-        restarted = true;
-        pipeline::Checkpoint cp = tailer->checkpoint();
-        util::StateWriter w;
-        if (!engine->save_state(w)) {
-          std::fprintf(stderr, "FAIL: warm_resume cannot serialize state\n");
-          return 1;
-        }
-        cp.state = w.take();
-        const auto saved = pipeline::Checkpoint::from_json(cp.to_json());
-        tailer.reset();
-        engine.reset();  // the kill
-        resumed_pool = detectors::make_paper_pair();
-        engine = std::make_unique<pipeline::ReplayEngine>(resumed_pool);
-        tailer = std::make_unique<pipeline::LogTailer>(warm_log, *engine);
-        if (!saved || !tailer->resume(*saved)) {
-          std::fprintf(stderr, "FAIL: warm_resume offset not honored\n");
-          return 1;
-        }
-        util::StateReader r(saved->state);
-        if (!engine->load_state(r)) {
-          std::fprintf(stderr, "FAIL: warm_resume cannot restore state\n");
-          return 1;
-        }
-      }
-    }
-    (void)tailer->poll();
+    bool failed = false;
+    generate_in_bursts(
+        scale, [&](const httplog::LogRecord& r) { writer.write(r); },
+        [&] {
+          writer.flush();
+          (void)tailer->poll();
+          if (!restarted && ++batches == 32) {
+            restarted = true;
+            failed = !restart();
+          }
+          return !failed;
+        });
+    if (failed) return 1;
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -253,7 +280,7 @@ int main(int argc, char** argv) {
         [&engine](httplog::LogRecord&& record) {
           engine.process_record(std::move(record));
         });
-    const double wall = pump_multi(logs, tailer, scale);
+    const double wall = write_multi(logs, tailer, scale);
     if (!check_live_counts("tail_multi4", logs, tailer)) return 1;
     runs.push_back({"tail_multi4", 0, tailer.stats().parsed, wall});
     if (!check_identity("tail_multi4", core::to_json(engine.results()),
@@ -268,18 +295,22 @@ int main(int argc, char** argv) {
         [] { return detectors::make_paper_pair(); }, kShards);
     util::StringInterner ua_tokens;
     pipeline::MultiTailer tailer(
-        logs.paths, [&](httplog::LogRecord&& record) {
-          record.ua_token = ua_tokens.intern(record.user_agent);
-          pipeline.process(std::move(record));
-        });
+        logs.paths,
+        pipeline::MultiTailer::BatchSink([&](pipeline::RecordBatch&& batch) {
+          for (auto& record : batch)
+            record.ua_token = ua_tokens.intern(record.user_agent);
+          pipeline.process_batch(std::move(batch));
+        }),
+        pipeline.batch_size(), pipeline::MultiTailConfig{},
+        &pipeline.batch_pool());
     const auto t0 = std::chrono::steady_clock::now();
-    const double pump_wall = pump_multi(logs, tailer, scale);
+    const double write_wall = write_multi(logs, tailer, scale);
     const auto results = pipeline.finish();  // wall covers the join too
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    (void)pump_wall;
+    (void)write_wall;
     if (!check_live_counts("tail_multi4_sharded", logs, tailer)) return 1;
     runs.push_back(
         {"tail_multi4_sharded", kShards, tailer.stats().parsed, wall});

@@ -11,6 +11,7 @@
 #include "detectors/registry.hpp"
 #include "httplog/clf.hpp"
 #include "pipeline/sharded.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -18,21 +19,20 @@ namespace {
 // get the same verdict from the fast parser and the reference oracle AND
 // re-format to identical bytes — a wrong-but-fast parser reports failure
 // here instead of a flattering number.
-bool add_parse_runs(const divscrape::traffic::ScenarioConfig& scenario,
+bool add_parse_runs(const divscrape::workload::ScenarioSpec& spec,
                     std::vector<divscrape::bench::ThroughputRun>& runs) {
   using namespace divscrape;
   constexpr std::size_t kMaxLines = 300'000;
   std::vector<std::string> lines;
   {
-    traffic::Scenario gen(scenario);
+    workload::WorkloadEngine engine(spec);
     httplog::ClfFormatter formatter;
-    httplog::LogRecord r;
-    std::string buf;
-    while (lines.size() < kMaxLines && gen.next(r)) {
-      buf.clear();
+    (void)engine.run([&](httplog::LogRecord&& r) {
+      if (lines.size() == kMaxLines) return engine.request_stop();
+      std::string buf;
       formatter.append(r, buf);
-      lines.push_back(buf);
-    }
+      lines.push_back(std::move(buf));
+    });
   }
 
   httplog::ClfParser parser;
@@ -85,31 +85,37 @@ int main(int argc, char** argv) {
   const auto args = bench::parse_bench_args(argc, argv, 1.0);
   const double scale = args.scale;
   const std::string& json_path = args.json_path;
-  const auto scenario = traffic::amadeus_like(scale);
+  const auto spec = bench::amadeus_like(scale);
   std::printf("# E10: end-to-end throughput, scale=%.3f\n\n", scale);
 
   std::vector<bench::ThroughputRun> runs;
 
   // Sequential: generator -> AlertJoiner in one thread.
-  core::ExperimentConfig config;
-  config.scenario = scenario;
   const auto pool = detectors::make_paper_pair();
-  const auto sequential = core::run_experiment(config, pool);
+  const auto sequential = workload::run_experiment(spec, pool);
   runs.push_back({"sequential", 0, sequential.records,
                   sequential.wall_seconds});
 
-  // Sharded: single dispatcher, N detector-pool worker threads.
+  // Sharded: the engine's batches -> single dispatcher, N detector-pool
+  // worker threads.
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto results = pipeline::run_sharded(
-        scenario, [] { return detectors::make_paper_pair(); }, shards);
+    pipeline::ShardedPipeline pipeline(
+        [] { return detectors::make_paper_pair(); }, shards);
+    workload::WorkloadEngine engine(spec);
+    (void)engine.run_batched(
+        [&pipeline](pipeline::RecordBatch&& batch) {
+          pipeline.process_batch(std::move(batch));
+        },
+        pipeline.batch_size(), &pipeline.batch_pool());
+    const auto results = pipeline.finish();
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     runs.push_back({"sharded", shards, results.total_requests(), wall});
   }
 
-  if (!add_parse_runs(scenario, runs)) return 1;
+  if (!add_parse_runs(spec, runs)) return 1;
 
   std::printf("  %-12s %8s %12s %14s %14s\n", "mode", "shards", "wall(s)",
               "records/s", "ns/record");

@@ -11,24 +11,24 @@
 #include "core/timeseries.hpp"
 #include "stats/running_stats.hpp"
 #include "detectors/registry.hpp"
+#include "workload/engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace divscrape;
 
   const double scale = bench::parse_scale(argc, argv, 0.25);
-  auto scenario = traffic::amadeus_like(scale);
+  const auto spec = bench::amadeus_like(scale);
   std::printf("# E12: alert-rate timeline, scale=%.3f\n\n", scale);
 
   const auto pool = detectors::make_paper_pair();
-  traffic::Scenario source(scenario);
   core::AlertJoiner joiner(pool);
-  core::TimeSeriesCollector hourly(pool.size(), scenario.start, 3600.0);
+  core::TimeSeriesCollector hourly(pool.size(), spec.start, 3600.0);
 
-  httplog::LogRecord record;
-  while (source.next(record)) {
+  workload::WorkloadEngine engine(spec);
+  (void)engine.run([&](httplog::LogRecord&& record) {
     const auto verdicts = joiner.process(record);
     hourly.observe(record, verdicts);
-  }
+  });
 
   const std::vector<std::string> names = {"sentinel", "arcane"};
   std::printf("daily rows (24h buckets):\n");
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const auto peak = hourly.peak_bucket();
   if (peak != SIZE_MAX) {
     const auto start =
-        scenario.start +
+        spec.start +
         static_cast<std::int64_t>(static_cast<double>(peak) * 3600.0 * 1e6);
     std::printf("\npeak hour: %s with %s requests\n",
                 start.to_iso8601().c_str(),

@@ -16,12 +16,13 @@
 #include "detectors/registry.hpp"
 #include "eval/scorer.hpp"
 #include "traffic/actor.hpp"
+#include "workload/engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace divscrape;
 
   const double scale = bench::parse_scale(argc, argv, 0.2);
-  auto scenario = traffic::amadeus_like(scale);
+  const auto spec = bench::amadeus_like(scale);
   std::printf("# E9: root causes of single-tool alerts, scale=%.3f\n\n",
               scale);
 
@@ -31,11 +32,10 @@ int main(int argc, char** argv) {
   core::AlertJoiner joiner(pool);
   eval::Scorer scorer(names);
 
-  traffic::Scenario source(scenario);
-  httplog::LogRecord record;
   // Unique alerts by (detector, actor class).
   std::map<std::pair<std::size_t, std::uint8_t>, std::uint64_t> by_class;
-  while (source.next(record)) {
+  workload::WorkloadEngine engine(spec);
+  (void)engine.run([&](httplog::LogRecord&& record) {
     const auto verdicts = joiner.process(record);
     scorer.observe(record, verdicts);
     const bool s = verdicts[0].alert;
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       const std::size_t who = s ? 0 : 1;
       ++by_class[{who, record.actor_class}];
     }
-  }
+  });
   const auto& r = joiner.results();
   const auto score = scorer.finish("amadeus_like", scale);
 

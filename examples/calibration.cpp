@@ -12,7 +12,9 @@
 
 #include "core/report.hpp"
 #include "detectors/registry.hpp"
-#include "traffic/scenario.hpp"
+#include "traffic/actor.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 using namespace divscrape;
 
@@ -28,10 +30,10 @@ int main(int argc, char** argv) {
   };
   std::map<std::uint8_t, ClassStats> per_class;
 
-  traffic::Scenario scenario(traffic::amadeus_like(scale));
+  workload::WorkloadEngine engine(
+      *workload::catalog_entry("amadeus_like", scale));
   auto pool = detectors::make_paper_pair();
-  httplog::LogRecord record;
-  while (scenario.next(record)) {
+  (void)engine.run([&](httplog::LogRecord&& record) {
     const auto vs = pool[0]->evaluate(record);
     const auto va = pool[1]->evaluate(record);
     auto& cs = per_class[record.actor_class];
@@ -40,7 +42,7 @@ int main(int argc, char** argv) {
     cs.arcane += va.alert;
     cs.both += vs.alert && va.alert;
     cs.neither += !vs.alert && !va.alert;
-  }
+  });
 
   core::TextTable t({"actor class", "requests", "sentinel%", "arcane%",
                      "both%", "neither", "sent-only", "arc-only"});

@@ -7,11 +7,11 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/experiment.hpp"
 #include "core/paper_reference.hpp"
 #include "core/report.hpp"
 #include "httplog/http.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/experiment.hpp"
 
 using namespace divscrape;
 
@@ -24,9 +24,8 @@ int main(int argc, char** argv) {
 
   std::printf("divscrape quickstart: %.0f%% of the paper-scale scenario\n",
               scale * 100.0);
-  core::ExperimentConfig config;
-  config.scenario = traffic::amadeus_like(scale);
-  const auto out = core::run_paper_experiment(config);
+  const auto out = workload::run_paper_experiment(
+      *workload::catalog_entry("amadeus_like", scale));
   const auto& r = out.results;
 
   std::printf("processed %s requests in %.2fs (%.0f req/s)\n\n",

@@ -1,15 +1,16 @@
-// Key-value configuration: lets operators run experiments from a plain
+// Key-value configuration: lets operators tune the detectors from a plain
 // text file instead of recompiling. Format is one dotted key per line:
 //
 //   # comment
 //   scenario.scale = 0.25
-//   scenario.seed = 20180311
-//   scenario.duration_days = 8
 //   sentinel.burst_limit = 25
 //   arcane.min_requests = 10
 //
-// Unknown keys are collected (not fatal) so callers can warn; appliers
-// exist for the scenario and both reproduced detectors' configs.
+// Appliers exist for both reproduced detectors' configs; the CLI reads
+// `scenario.scale` (`--scale`) itself. Everything else about a scenario —
+// seed, duration, populations — lives in a ScenarioSpec file (see
+// workload/scenario_spec.hpp). Keys no applier reads stay unconsumed()
+// so callers can reject them; the CLI does, before a command runs.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 
 #include "detectors/arcane.hpp"
 #include "detectors/sentinel.hpp"
-#include "traffic/scenario.hpp"
 
 namespace divscrape::core {
 
@@ -57,10 +57,6 @@ class KeyValueConfig {
   mutable std::map<std::string, bool> consumed_;
   std::vector<std::string> errors_;
 };
-
-/// Applies "scenario.*" keys onto a ScenarioConfig.
-void apply_scenario_config(const KeyValueConfig& config,
-                           traffic::ScenarioConfig& scenario);
 
 /// Applies "sentinel.*" keys onto a SentinelConfig.
 void apply_sentinel_config(const KeyValueConfig& config,

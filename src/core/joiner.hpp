@@ -10,7 +10,7 @@
 //   * k-out-of-N adjudicated confusion matrices       (E5)
 //
 // The joiner is deliberately single-pass and streaming: the paper-scale
-// stream is 1.47M records and detectors are stateful, so everything that
+// stream is ~1.44M records and detectors are stateful, so everything that
 // can be answered from the joint verdict vector is folded immediately.
 #pragma once
 

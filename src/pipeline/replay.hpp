@@ -47,12 +47,13 @@ class ReplayEngine {
   /// simulated second takes 1/x wall seconds (e.g. 60 = minute-per-second).
   /// Pacing is anchored at the first record the engine ever ingests.
   ///
-  /// The pool is reset() on construction (mirroring core::run_experiment):
-  /// the engine stamps records with tokens from its own interner, and any
-  /// token-keyed detector state from a previous source would be meaningless
-  /// — or worse, silently wrong — under this engine's token space. Repeated
-  /// replay()/feed() calls on one engine share the interner and accumulate
-  /// state (the multi-file log-tailing use case).
+  /// The pool is reset() on construction (mirroring
+  /// workload::run_experiment): the engine stamps records with tokens from
+  /// its own interner, and any token-keyed detector state from a previous
+  /// source would be meaningless — or worse, silently wrong — under this
+  /// engine's token space. Repeated replay()/feed() calls on one engine
+  /// share the interner and accumulate state (the multi-file log-tailing
+  /// use case).
   explicit ReplayEngine(
       const std::vector<std::unique_ptr<detectors::Detector>>& pool,
       double time_scale = 0.0);

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "traffic/scenario.hpp"
-
 namespace divscrape::pipeline {
 
 namespace {
@@ -166,29 +164,13 @@ void ShardedPipeline::flush_caller_pending(Dispatcher& d) {
   d.pending = pool_.acquire();
 }
 
-void ShardedPipeline::process(const httplog::LogRecord& record) {
-  if (finished_)
-    throw std::logic_error("ShardedPipeline: process() after finish()");
-  Dispatcher& d = *dispatchers_[shard_owner_[shard_of(record)]];
-  d.pending.append_slot() = record;
-  ++dispatched_;
-  if (d.pending.size() >= batch_size_) flush_caller_pending(d);
-}
-
-void ShardedPipeline::process(httplog::LogRecord&& record) {
-  process(static_cast<const httplog::LogRecord&>(record));
-}
-
 void ShardedPipeline::process_batch(RecordBatch&& batch) {
   if (finished_)
     throw std::logic_error("ShardedPipeline: process_batch() after finish()");
   dispatched_ += batch.size();
   if (dispatchers_.size() == 1) {
     // Zero-copy fast path: the whole batch moves into the ring untouched.
-    // Flush the per-record pending first so arrival order is preserved.
-    Dispatcher& d = *dispatchers_.front();
-    flush_caller_pending(d);
-    d.ring.push(DispatchItem{std::move(batch), 0});
+    dispatchers_.front()->ring.push(DispatchItem{std::move(batch), 0});
     return;
   }
   for (const auto& record : batch) {
@@ -289,17 +271,6 @@ bool ShardedPipeline::load_state(util::StateReader& r) {
       return fail();
   }
   return true;
-}
-
-core::JointResults run_sharded(const traffic::ScenarioConfig& scenario_config,
-                               PoolFactory factory, std::size_t shards,
-                               std::size_t dispatchers) {
-  traffic::Scenario scenario(scenario_config);
-  ShardedPipeline pipeline(std::move(factory), shards, 1024, 16 * 1024,
-                           dispatchers);
-  httplog::LogRecord record;
-  while (scenario.next(record)) pipeline.process(record);
-  return pipeline.finish();
 }
 
 }  // namespace divscrape::pipeline

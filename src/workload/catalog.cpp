@@ -42,8 +42,9 @@ AttackSpec caching(int bots) {
   return attack;
 }
 
-/// The paper-shaped deployment as a spec: one vhost, the calibrated
-/// amadeus_like populations (mirrors traffic::amadeus_like()'s defaults).
+/// The paper-shaped deployment as a spec: one vhost, the populations
+/// calibrated so the detector pair reproduces the shape of the paper's
+/// Tables 1-4 (the ScenarioSpec/VhostSpec defaults plus this attack mix).
 ScenarioSpec make_amadeus_like() {
   ScenarioSpec spec;
   spec.name = "amadeus_like";
@@ -332,9 +333,9 @@ ScenarioSpec make_evasion_ladder(int level) {
   return spec;
 }
 
-/// A one-hour miniature with every population represented — mirrors
-/// traffic::smoke_test() so unit tests and CI smokes finish in
-/// milliseconds yet still produce alerts from both detectors.
+/// A one-hour miniature with every population represented, so unit tests
+/// and CI smokes finish in milliseconds yet still produce alerts from both
+/// detectors.
 ScenarioSpec make_smoke() {
   ScenarioSpec spec;
   spec.name = "smoke";

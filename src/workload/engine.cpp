@@ -851,4 +851,14 @@ std::uint64_t WorkloadEngine::run_rounds(
   return emitted_;
 }
 
+std::vector<httplog::LogRecord> generate(const ScenarioSpec& spec,
+                                         EngineConfig config) {
+  std::vector<httplog::LogRecord> records;
+  WorkloadEngine engine(spec, config);
+  (void)engine.run([&records](httplog::LogRecord&& record) {
+    records.push_back(std::move(record));
+  });
+  return records;
+}
+
 }  // namespace divscrape::workload

@@ -85,6 +85,11 @@ struct EngineConfig {
 /// its own scale — the number that decides whether lazy_actors is worth it.
 [[nodiscard]] std::uint64_t static_population(const ScenarioSpec& spec);
 
+/// Runs `spec` to completion and returns the whole stream — for tests,
+/// benches and examples that want the records materialized.
+[[nodiscard]] std::vector<httplog::LogRecord> generate(
+    const ScenarioSpec& spec, EngineConfig config = EngineConfig());
+
 /// Ordinal-range descriptor of one scripted-actor group (engine internal).
 struct ActorGroup;
 

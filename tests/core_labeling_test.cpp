@@ -6,7 +6,8 @@
 #include <vector>
 
 #include "core/labeling.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -160,13 +161,11 @@ TEST(Labeler, AuditAgainstSimulatorTruth) {
   // End-to-end: generate labelled traffic, scrub the labels, re-label
   // heuristically, audit. The conservative labeller must be high-purity
   // (low disagreement where it decides) with substantial coverage.
-  auto config = divscrape::traffic::smoke_test();
-  config.duration_days = 0.5;
-  divscrape::traffic::Scenario scenario(config);
+  auto spec = *divscrape::workload::catalog_entry("smoke");
+  spec.duration_days = 0.5;
   std::vector<LogRecord> records;
   std::vector<Truth> reference;
-  LogRecord r;
-  while (scenario.next(r)) {
+  for (auto& r : divscrape::workload::generate(spec)) {
     reference.push_back(r.truth);
     r.truth = Truth::kUnknown;  // scrub: the analyst's starting position
     records.push_back(r);

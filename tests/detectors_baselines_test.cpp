@@ -8,7 +8,8 @@
 #include "detectors/learned.hpp"
 #include "detectors/registry.hpp"
 #include "ml/dataset.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/experiment.hpp"
 
 namespace {
 
@@ -143,9 +144,10 @@ TEST(Registry, PaperPairOrderAndNames) {
 TEST(Registry, LearnedDetectorsTrainOnScenario) {
   // A day of smoke traffic gives the tree enough labelled sessions of
   // both classes to learn a stable split.
-  auto config = divscrape::traffic::smoke_test();
-  config.duration_days = 1.0;
-  const auto learned = divscrape::detectors::make_learned_detectors(config);
+  auto spec = *divscrape::workload::catalog_entry("smoke");
+  spec.duration_days = 1.0;
+  const auto learned = divscrape::detectors::make_learned_detectors(
+      divscrape::workload::session_dataset(spec));
   ASSERT_EQ(learned.size(), 2u);
   EXPECT_EQ(learned[0]->name(), "naive-bayes");
   EXPECT_EQ(learned[1]->name(), "decision-tree");

@@ -10,7 +10,8 @@
 #include "detectors/sentinel.hpp"
 #include "httplog/clf.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -23,13 +24,9 @@ using divscrape::httplog::LogRecord;
 // A captive traffic slice shared by all properties in this file.
 const std::vector<LogRecord>& captive_stream() {
   static const auto records = [] {
-    auto config = divscrape::traffic::smoke_test();
-    config.duration_days = 0.15;
-    divscrape::traffic::Scenario scenario(config);
-    std::vector<LogRecord> out;
-    LogRecord r;
-    while (scenario.next(r)) out.push_back(r);
-    return out;
+    auto spec = *divscrape::workload::catalog_entry("smoke");
+    spec.duration_days = 0.15;
+    return divscrape::workload::generate(spec);
   }();
   return records;
 }

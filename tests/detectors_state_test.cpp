@@ -27,7 +27,8 @@
 #include "httplog/session.hpp"
 #include "ml/dataset.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 #include "util/interner.hpp"
 #include "util/state.hpp"
 
@@ -133,14 +134,8 @@ TEST(StateBounds, RateLimiterWindowsAreGarbageCollected) {
 // Mixed benign/scraper traffic with enough volume to populate per-client
 // windows, reputation entries and template tables in every detector.
 const std::vector<LogRecord>& scenario_records() {
-  static const std::vector<LogRecord> records = [] {
-    auto config = divscrape::traffic::smoke_test();
-    divscrape::traffic::Scenario scenario(config);
-    std::vector<LogRecord> out;
-    LogRecord r;
-    while (scenario.next(r)) out.push_back(r);
-    return out;
-  }();
+  static const std::vector<LogRecord> records = divscrape::workload::generate(
+      *divscrape::workload::catalog_entry("smoke"));
   return records;
 }
 

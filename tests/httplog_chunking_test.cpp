@@ -17,7 +17,8 @@
 #include "httplog/framing.hpp"
 #include "pipeline/replay.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -131,13 +132,12 @@ TEST(LineFramer, FeedWithoutDrainingKeepsUndrainedLinesIntact) {
 // every 7th line is garbage (exercises skip accounting), every 5th ends in
 // CRLF.
 std::string clf_content(std::size_t max_records, bool terminated) {
-  auto config = traffic::smoke_test();
-  config.duration_days = 0.1;
-  traffic::Scenario scenario(config);
+  auto spec = *workload::catalog_entry("smoke");
+  spec.duration_days = 0.1;
   std::string content;
-  httplog::LogRecord record;
   std::size_t n = 0;
-  while (n < max_records && scenario.next(record)) {
+  for (const auto& record : workload::generate(spec)) {
+    if (n == max_records) break;
     ++n;
     if (n % 7 == 0) content += "not a clf line at all\n";
     content += httplog::format_clf(record);

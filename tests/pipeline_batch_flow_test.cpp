@@ -205,7 +205,14 @@ TEST(ShardedBatchFlow, BacklogStaysWithinConfiguredBound) {
   ShardedPipeline pipeline([] { return detectors::make_paper_pair(); },
                            /*shards=*/2, kBatch, kMaxBacklog,
                            /*dispatchers=*/2);
-  for (int i = 0; i < 5000; ++i) pipeline.process(make_record(i));
+  RecordBatch batch = pipeline.batch_pool().acquire();
+  for (int i = 0; i < 5000; ++i) {
+    batch.append_slot() = make_record(i);
+    if (batch.size() == kBatch) {
+      pipeline.process_batch(std::move(batch));
+      batch = pipeline.batch_pool().acquire();
+    }
+  }
   pipeline.drain();
   // Structural bound: rings hold max_backlog/batch batches, plus one batch
   // mid-push and one mid-process per shard.

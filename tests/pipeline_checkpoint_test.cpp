@@ -18,7 +18,8 @@
 #include "pipeline/replay.hpp"
 #include "pipeline/tailer.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/atomic_file.hpp"
 
@@ -31,11 +32,8 @@ std::string temp_path(const std::string& name) {
 }
 
 std::vector<httplog::LogRecord> smoke_records(std::size_t count) {
-  auto config = traffic::smoke_test();
-  traffic::Scenario scenario(config);
-  std::vector<httplog::LogRecord> records;
-  httplog::LogRecord r;
-  while (records.size() < count && scenario.next(r)) records.push_back(r);
+  auto records = workload::generate(*workload::catalog_entry("smoke"));
+  if (records.size() > count) records.resize(count);
   return records;
 }
 

@@ -5,14 +5,17 @@
 // sharded.
 //
 // Three proofs:
-//   1. Golden parity vs the seed: tests/data/golden_amadeus_s005_paper_pair
-//      .json was captured from the pre-interning tree (commit fdc3288) by
-//      running `divscrape_cli export --scale 0.05`. The same run today must
-//      serialize to the identical bytes.
+//   1. Golden parity: tests/data/golden_amadeus_s005_paper_pair.json was
+//      captured by `divscrape_cli export amadeus_like --scale 0.05` (the
+//      catalog stream) and cross-checked byte for byte against the
+//      previous tree's detectors over the same stream. The same run today
+//      must serialize to the identical bytes. (The first golden came from
+//      the pre-interning, string-keyed tree on the retired single-site
+//      generator; the test name keeps that lineage.)
 //   2. Stamped vs unstamped: scrubbing ua_token (forcing every detector
 //      through its local-interner fallback) must not change results.
-//   3. Sharded vs sequential at 1/2/8 shards, via both the copying and the
-//      moving process() overloads.
+//   3. Sharded vs sequential at 1/2/8 shards, with records copied or moved
+//      into the batch seam, and straight from the engine's batch mode.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -21,12 +24,13 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/export.hpp"
 #include "detectors/arcane.hpp"
 #include "detectors/sentinel.hpp"
 #include "pipeline/sharded.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
+#include "workload/experiment.hpp"
 
 namespace {
 
@@ -39,12 +43,33 @@ std::vector<std::unique_ptr<detectors::Detector>> paper_pair() {
   return pool;
 }
 
+workload::ScenarioSpec amadeus_like(double scale) {
+  return *workload::catalog_entry("amadeus_like", scale);
+}
+
 std::vector<httplog::LogRecord> materialize(double scale) {
-  traffic::Scenario scenario(traffic::amadeus_like(scale));
-  std::vector<httplog::LogRecord> records;
-  httplog::LogRecord r;
-  while (scenario.next(r)) records.push_back(r);
-  return records;
+  return workload::generate(amadeus_like(scale));
+}
+
+/// Feeds `records` into the pipeline's batch seam in pool batches of the
+/// pipeline's batch size; `move` moves each record into its slot instead
+/// of copy-assigning it.
+template <typename Records>
+void feed_batches(pipeline::ShardedPipeline& pipeline, Records&& records,
+                  bool move) {
+  pipeline::RecordBatch batch = pipeline.batch_pool().acquire();
+  for (auto& r : records) {
+    if (move) {
+      batch.append_slot() = std::move(r);
+    } else {
+      batch.append_slot() = r;
+    }
+    if (batch.size() == pipeline.batch_size()) {
+      pipeline.process_batch(std::move(batch));
+      batch = pipeline.batch_pool().acquire();
+    }
+  }
+  if (!batch.empty()) pipeline.process_batch(std::move(batch));
 }
 
 core::JointResults run_pool(const std::vector<httplog::LogRecord>& records) {
@@ -55,8 +80,8 @@ core::JointResults run_pool(const std::vector<httplog::LogRecord>& records) {
 }
 
 TEST(InternEquivalence, GoldenParityWithSeedStringKeyedPath) {
-  // Byte-for-byte comparison against the JSON the *seed* (string-keyed)
-  // tree exported for this exact configuration.
+  // Byte-for-byte comparison against the committed export of this exact
+  // configuration.
   std::ifstream golden_file(std::string(DIVSCRAPE_TEST_DATA_DIR) +
                             "/golden_amadeus_s005_paper_pair.json");
   ASSERT_TRUE(golden_file) << "golden file missing";
@@ -68,10 +93,8 @@ TEST(InternEquivalence, GoldenParityWithSeedStringKeyedPath) {
          (expected.back() == '\n' || expected.back() == '\r'))
     expected.pop_back();
 
-  core::ExperimentConfig config;
-  config.scenario = traffic::amadeus_like(0.05);
   const auto pool = paper_pair();
-  const auto out = core::run_experiment(config, pool);
+  const auto out = workload::run_experiment(amadeus_like(0.05), pool);
   EXPECT_EQ(core::to_json(out.results), expected);
 }
 
@@ -93,7 +116,7 @@ TEST(InternEquivalence, ShardedMatchesSequentialCopyAndMove) {
     // Copying dispatch.
     {
       pipeline::ShardedPipeline pipeline([] { return paper_pair(); }, shards);
-      for (const auto& r : records) pipeline.process(r);
+      feed_batches(pipeline, records, /*move=*/false);
       EXPECT_EQ(core::to_json(pipeline.finish()), sequential)
           << "copy dispatch, shards=" << shards;
     }
@@ -101,26 +124,31 @@ TEST(InternEquivalence, ShardedMatchesSequentialCopyAndMove) {
     {
       pipeline::ShardedPipeline pipeline([] { return paper_pair(); }, shards);
       auto working = records;
-      for (auto& r : working) pipeline.process(std::move(r));
+      feed_batches(pipeline, working, /*move=*/true);
       EXPECT_EQ(core::to_json(pipeline.finish()), sequential)
           << "move dispatch, shards=" << shards;
     }
   }
 }
 
-TEST(InternEquivalence, RunShardedMovePathMatchesSequential) {
-  // End-to-end: run_sharded now moves records from the generator into the
-  // shard queues; results must still match a sequential run of the same
-  // scenario.
-  const auto scenario = traffic::amadeus_like(0.02);
-  core::ExperimentConfig config;
-  config.scenario = scenario;
+TEST(InternEquivalence, EngineBatchSeamShardedMatchesSequential) {
+  // End-to-end: the engine's batch mode hands whole merge-window batches
+  // (engine-stamped tokens) straight into the shard rings; results must
+  // still match a sequential run of the same spec.
+  const auto spec = amadeus_like(0.02);
   const auto pool = paper_pair();
-  const auto sequential = core::run_experiment(config, pool);
+  const auto sequential = workload::run_experiment(spec, pool);
 
-  const auto sharded = pipeline::run_sharded(
-      scenario, [] { return paper_pair(); }, 4);
-  EXPECT_EQ(core::to_json(sharded), core::to_json(sequential.results));
+  // 5 shards: an odd count really splits the stream (see shard_of).
+  pipeline::ShardedPipeline pipeline([] { return paper_pair(); }, 5);
+  workload::WorkloadEngine engine(spec);
+  (void)engine.run_batched(
+      [&pipeline](pipeline::RecordBatch&& batch) {
+        pipeline.process_batch(std::move(batch));
+      },
+      pipeline.batch_size(), &pipeline.batch_pool());
+  EXPECT_EQ(core::to_json(pipeline.finish()),
+            core::to_json(sequential.results));
 }
 
 }  // namespace

@@ -33,9 +33,10 @@
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/interner.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -85,25 +86,24 @@ struct DriveResult {
   std::string reference;  ///< sorted merged parseable wire bytes
 };
 
-/// Writes an amadeus_like(scale) stream round-robin across three live log
-/// files under continuous faults while `tailer` consumes it, polling
-/// deterministically. The returned reference is what a fault-free merged
-/// log would have contained.
+/// Writes the catalog amadeus_like stream at `scale` round-robin across
+/// three live log files under continuous faults while `tailer` consumes
+/// it, polling deterministically. The returned reference is what a
+/// fault-free merged log would have contained.
 DriveResult drive_faulted_multi(pipeline::MultiTailer& tailer,
                                 std::vector<traffic::StreamWriter*> writers,
                                 double scale) {
   const std::size_t kFiles = writers.size();
-  traffic::Scenario scenario(traffic::amadeus_like(scale));
   stats::Rng rng(20180311);
   DriveResult out;
   std::vector<RefEntry> entries;
   std::vector<std::uint64_t> seq(kFiles, 0);
 
-  httplog::LogRecord record;
   std::uint64_t n = 0;
   bool rotated_once = false;
   bool truncated_once = false;
-  while (scenario.next(record)) {
+  for (const auto& record :
+       workload::generate(*workload::catalog_entry("amadeus_like", scale))) {
     ++n;
     const auto file = static_cast<std::uint32_t>(n % kFiles);
     traffic::StreamWriter& writer = *writers[file];
@@ -228,11 +228,12 @@ TEST(MultiTail, ShardedTailMatchesSortedBatchReplayAtOneAndTwoShards) {
     util::StringInterner ua_tokens;  // single dispatch-side token space
     pipeline::MultiTailer tailer(
         logs.paths,
-        [&](httplog::LogRecord&& record) {
-          record.ua_token = ua_tokens.intern(record.user_agent);
-          pipeline.process(std::move(record));
-        },
-        exact_merge_config());
+        pipeline::MultiTailer::BatchSink([&](pipeline::RecordBatch&& batch) {
+          for (auto& record : batch)
+            record.ua_token = ua_tokens.intern(record.user_agent);
+          pipeline.process_batch(std::move(batch));
+        }),
+        pipeline.batch_size(), exact_merge_config(), &pipeline.batch_pool());
 
     const auto drive = drive_faulted_multi(tailer, logs.writer_ptrs(), 0.02);
     EXPECT_EQ(pipeline.dispatched(), drive.records);
@@ -249,11 +250,8 @@ TEST(MultiTail, ShardedTailMatchesSortedBatchReplayAtOneAndTwoShards) {
 // --- record-exact merge order -------------------------------------------
 
 std::vector<httplog::LogRecord> smoke_records(std::size_t count) {
-  auto config = traffic::smoke_test();
-  traffic::Scenario scenario(config);
-  std::vector<httplog::LogRecord> records;
-  httplog::LogRecord r;
-  while (records.size() < count && scenario.next(r)) records.push_back(r);
+  auto records = workload::generate(*workload::catalog_entry("smoke"));
+  if (records.size() > count) records.resize(count);
   return records;
 }
 

@@ -2,8 +2,12 @@
 // *identical* to a sequential ReplayEngine run over the same CLF stream at
 // EVERY (shards, dispatchers, batch size) combination, as promised by the
 // correctness comment in src/pipeline/sharded.hpp — the combination is an
-// execution knob, never an observable. Both the per-record seam (process)
-// and the batch seam (LineDecoder batch mode -> process_batch) are pinned.
+// execution knob, never an observable. Two framings into the batch seam
+// are pinned: a LogReader loop that packs pool batches record by record,
+// and LineDecoder batch mode. Shard counts that are not powers of two
+// matter: shard_of keeps the /24 prefix's zero low bits, so at 2, 4 and 8
+// shards every record lands on shard 0 and only the odd counts actually
+// split the stream.
 // Both sides consume the serialized-then-reparsed stream so they see
 // byte-identical records (ground truth is sidecar metadata and does not
 // survive the wire).
@@ -20,7 +24,8 @@
 #include "pipeline/decoder.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -101,12 +106,12 @@ void expect_joint_results_identical(const JointResults& a,
 // One shared CLF serialization of the smoke scenario, generated once.
 const std::string& scenario_clf_text() {
   static const std::string text = [] {
-    auto config = divscrape::traffic::smoke_test();
-    divscrape::traffic::Scenario scenario(config);
     std::ostringstream out;
     divscrape::httplog::LogWriter writer(out);
-    LogRecord r;
-    while (scenario.next(r)) writer.write(r);
+    for (const auto& r : divscrape::workload::generate(
+             *divscrape::workload::catalog_entry("smoke"))) {
+      writer.write(r);
+    }
     return out.str();
   }();
   return text;
@@ -145,8 +150,16 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesSequentialReplay) {
                            16 * 1024, dispatchers);
   std::istringstream sharded_in(scenario_clf_text());
   divscrape::httplog::LogReader reader(sharded_in);
+  RecordBatch out = pipeline.batch_pool().acquire();
   LogRecord r;
-  while (reader.next(r)) pipeline.process(r);
+  while (reader.next(r)) {
+    out.append_slot() = r;
+    if (out.size() == batch) {
+      pipeline.process_batch(std::move(out));
+      out = pipeline.batch_pool().acquire();
+    }
+  }
+  if (!out.empty()) pipeline.process_batch(std::move(out));
   const auto sharded = pipeline.finish();
 
   EXPECT_EQ(pipeline.dispatched(), stats.parsed);
@@ -182,7 +195,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Combo{4, 2, 1},     // degenerate 1-record batches
                       Combo{3, 2, 7},     // uneven shard ranges, odd batch
                       Combo{8, 8, 256},   // dispatcher per shard
-                      Combo{2, 2, 1024}),
+                      Combo{2, 2, 1024},
+                      // Odd shard counts: the combos that really partition
+                      // (see the file comment).
+                      Combo{5, 1, 1024}, Combo{5, 5, 64},
+                      Combo{7, 3, 1024}),
     [](const ::testing::TestParamInfo<Combo>& info) {
       return "s" + std::to_string(std::get<0>(info.param)) + "d" +
              std::to_string(std::get<1>(info.param)) + "b" +

@@ -1,13 +1,13 @@
 // Fault-injection equivalence: the tentpole claim of the live-ingest
-// subsystem. An amadeus_like(0.05) stream (~74k records) is written to a
-// live log file under continuous adversarial conditions — torn writes
-// split at arbitrary byte boundaries (including across a poll), CRLF line
-// endings, interleaved garbage lines, one mid-session rotation with a
-// record torn across the boundary, and one truncate-and-restart — while a
-// LogTailer feeds a ReplayEngine. The resulting JointResults must be
-// byte-identical (as serialized JSON) to a one-shot batch replay of the
-// logically ingested byte stream, and the framing accounting must match
-// exactly.
+// subsystem. The catalog amadeus_like stream at scale 0.05 (~72k records)
+// is written to a live log file under continuous adversarial conditions —
+// torn writes split at arbitrary byte boundaries (including across a
+// poll), CRLF line endings, interleaved garbage lines, one mid-session
+// rotation with a record torn across the boundary, and one
+// truncate-and-restart — while a LogTailer feeds a ReplayEngine. The
+// resulting JointResults must be byte-identical (as serialized JSON) to a
+// one-shot batch replay of the logically ingested byte stream, and the
+// framing accounting must match exactly.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,8 +20,9 @@
 #include "pipeline/replay.hpp"
 #include "pipeline/tailer.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 #include "traffic/stream_writer.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -32,7 +33,6 @@ TEST(TailFaults, FaultedLiveStreamMatchesOneShotBatchReplay) {
   const std::string log = ::testing::TempDir() + "divscrape_tail_faults.log";
   const std::string rotated = log + ".1";
 
-  traffic::Scenario scenario(traffic::amadeus_like(0.05));
   traffic::StreamWriter writer(log);
   const auto live_pool = make_paper_pair();
   pipeline::ReplayEngine engine(live_pool);
@@ -48,12 +48,12 @@ TEST(TailFaults, FaultedLiveStreamMatchesOneShotBatchReplay) {
     writer.write_bytes(wire);
   };
 
-  httplog::LogRecord record;
   std::uint64_t n = 0;
   std::uint64_t garbage = 0;
   bool rotated_once = false;
   bool truncated_once = false;
-  while (scenario.next(record)) {
+  for (const auto& record :
+       workload::generate(*workload::catalog_entry("amadeus_like", 0.05))) {
     ++n;
     if (n % 501 == 0) {  // corrupt lines: skip accounting must agree too
       ++garbage;

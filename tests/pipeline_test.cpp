@@ -4,22 +4,24 @@
 
 #include <sstream>
 
-#include "core/experiment.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/io.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
+#include "workload/experiment.hpp"
 
 namespace {
 
-using divscrape::core::ExperimentConfig;
 using divscrape::core::JointResults;
-using divscrape::core::run_experiment;
 using divscrape::detectors::make_paper_pair;
 using divscrape::pipeline::ReplayEngine;
-using divscrape::pipeline::run_sharded;
 using divscrape::pipeline::ShardedPipeline;
+using divscrape::workload::ScenarioSpec;
+using divscrape::workload::WorkloadEngine;
+
+ScenarioSpec smoke() { return *divscrape::workload::catalog_entry("smoke"); }
 
 void expect_identical(const JointResults& a, const JointResults& b) {
   ASSERT_EQ(a.detector_count(), b.detector_count());
@@ -50,16 +52,18 @@ class ShardCountTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(ShardCountTest, ShardedEqualsSequential) {
   // The headline property: hash-partitioned parallel processing produces
   // bit-identical results to the sequential run, for any shard count.
-  const auto scenario = divscrape::traffic::smoke_test();
-
-  ExperimentConfig config;
-  config.scenario = scenario;
+  const auto spec = smoke();
   const auto pool = make_paper_pair();
-  const auto sequential = run_experiment(config, pool);
+  const auto sequential = divscrape::workload::run_experiment(spec, pool);
 
-  const auto sharded =
-      run_sharded(scenario, [] { return make_paper_pair(); }, GetParam());
-  expect_identical(sharded, sequential.results);
+  ShardedPipeline pipeline([] { return make_paper_pair(); }, GetParam());
+  WorkloadEngine engine(spec);
+  (void)engine.run_batched(
+      [&pipeline](divscrape::pipeline::RecordBatch&& batch) {
+        pipeline.process_batch(std::move(batch));
+      },
+      pipeline.batch_size(), &pipeline.batch_pool());
+  expect_identical(pipeline.finish(), sequential.results);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardCountTest,
@@ -78,16 +82,16 @@ TEST(Sharded, FinishTwiceThrows) {
 }
 
 TEST(Sharded, DispatchCountMatches) {
-  auto scenario = divscrape::traffic::smoke_test();
-  scenario.duration_days = 0.01;
-  divscrape::traffic::Scenario s(scenario);
+  auto spec = smoke();
+  spec.duration_days = 0.01;
   ShardedPipeline pipeline([] { return make_paper_pair(); }, 4);
-  divscrape::httplog::LogRecord r;
-  std::uint64_t fed = 0;
-  while (s.next(r)) {
-    pipeline.process(r);
-    ++fed;
-  }
+  WorkloadEngine engine(spec);
+  const std::uint64_t fed = engine.run_batched(
+      [&pipeline](divscrape::pipeline::RecordBatch&& batch) {
+        pipeline.process_batch(std::move(batch));
+      },
+      /*batch_records=*/100, &pipeline.batch_pool());
+  ASSERT_GT(fed, 0u);
   EXPECT_EQ(pipeline.dispatched(), fed);
   const auto results = pipeline.finish();
   EXPECT_EQ(results.total_requests(), fed);
@@ -98,16 +102,14 @@ TEST(Replay, FileReplayMatchesDirectRunOnAlerts) {
   // compare against running the same records directly. Ground truth is
   // lost on the wire (real logs are unlabelled) but alert behaviour must
   // be identical because detectors only read CLF-visible fields.
-  auto config = divscrape::traffic::smoke_test();
-  config.duration_days = 0.05;
-  divscrape::traffic::Scenario scenario(config);
+  auto spec = smoke();
+  spec.duration_days = 0.05;
 
   std::ostringstream log_text;
   divscrape::httplog::LogWriter writer(log_text);
   const auto direct_pool = make_paper_pair();
   divscrape::core::AlertJoiner direct(direct_pool);
-  divscrape::httplog::LogRecord r;
-  while (scenario.next(r)) {
+  for (const auto& r : divscrape::workload::generate(spec)) {
     writer.write(r);
     (void)direct.process(r);
   }

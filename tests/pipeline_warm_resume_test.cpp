@@ -24,7 +24,8 @@
 #include "pipeline/sharded.hpp"
 #include "pipeline/tailer.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/interner.hpp"
 #include "util/state.hpp"
@@ -47,14 +48,8 @@ std::string temp_path(const std::string& name) {
 // time-ordered records — enough to populate windows, reputation entries
 // and template tables in both detectors.
 const std::vector<httplog::LogRecord>& records() {
-  static const std::vector<httplog::LogRecord> all = [] {
-    auto config = traffic::smoke_test();
-    traffic::Scenario scenario(config);
-    std::vector<httplog::LogRecord> out;
-    httplog::LogRecord r;
-    while (scenario.next(r)) out.push_back(r);
-    return out;
-  }();
+  static const std::vector<httplog::LogRecord> all =
+      workload::generate(*workload::catalog_entry("smoke"));
   return all;
 }
 
@@ -358,17 +353,31 @@ TEST(WarmResumeMultiFile, KillAtPhaseBoundaryIsByteIdentical) {
 // dispatch interner, with the drain() barrier making the queues empty (and
 // the workers' joiner writes visible) before every state commit.
 
+// The sharded consumer: MultiTailer frames the merged stream into batches
+// of the pipeline's batch size, the dispatch-side interner stamps their
+// tokens, and the batches enter the pipeline's batch seam with the recycle
+// loop closed.
+pipeline::MultiTailer sharded_tailer(const std::vector<std::string>& paths,
+                                     pipeline::ShardedPipeline& sharded,
+                                     util::StringInterner& ua_tokens) {
+  return pipeline::MultiTailer(
+      paths,
+      pipeline::MultiTailer::BatchSink([&tokens = ua_tokens, &pipe = sharded](
+                                           pipeline::RecordBatch&& batch) {
+        for (auto& record : batch)
+          record.ua_token = tokens.intern(record.user_agent);
+        pipe.process_batch(std::move(batch));
+      }),
+      sharded.batch_size(), pipeline::MultiTailConfig{}, &sharded.batch_pool());
+}
+
 std::string uninterrupted_sharded(const std::string& tag,
                                   std::size_t phase_split) {
   MultiLogs logs(tag);
   pipeline::ShardedPipeline sharded([] { return detectors::make_paper_pair(); },
                                     kShards);
   util::StringInterner ua_tokens;
-  pipeline::MultiTailer tailer(
-      logs.paths, [&](httplog::LogRecord&& record) {
-        record.ua_token = ua_tokens.intern(record.user_agent);
-        sharded.process(std::move(record));
-      });
+  auto tailer = sharded_tailer(logs.paths, sharded, ua_tokens);
   logs.write_range(0, phase_split);
   (void)tailer.poll();
   (void)tailer.flush();
@@ -390,11 +399,7 @@ TEST(WarmResumeSharded, KillAtPhaseBoundaryIsByteIdentical) {
     pipeline::ShardedPipeline sharded(
         [] { return detectors::make_paper_pair(); }, kShards);
     util::StringInterner ua_tokens;
-    pipeline::MultiTailer tailer(
-        logs.paths, [&](httplog::LogRecord&& record) {
-          record.ua_token = ua_tokens.intern(record.user_agent);
-          sharded.process(std::move(record));
-        });
+    auto tailer = sharded_tailer(logs.paths, sharded, ua_tokens);
     logs.write_range(0, phase_split);
     (void)tailer.poll();
     (void)tailer.flush();
@@ -416,11 +421,7 @@ TEST(WarmResumeSharded, KillAtPhaseBoundaryIsByteIdentical) {
     pipeline::ShardedPipeline sharded(
         [] { return detectors::make_paper_pair(); }, kShards);
     util::StringInterner ua_tokens;
-    pipeline::MultiTailer tailer(
-        logs.paths, [&](httplog::LogRecord&& record) {
-          record.ua_token = ua_tokens.intern(record.user_agent);
-          sharded.process(std::move(record));
-        });
+    auto tailer = sharded_tailer(logs.paths, sharded, ua_tokens);
     util::StateReader r(session.state);
     ASSERT_TRUE(ua_tokens.load_state(r));
     ASSERT_TRUE(sharded.load_state(r));
@@ -458,16 +459,7 @@ TEST(WarmResumeSharded, BatchedKillWithInFlightBatchesIsByteIdentical) {
         [] { return detectors::make_paper_pair(); }, kShards,
         /*batch_size=*/7, /*max_backlog=*/16 * 1024, /*dispatchers=*/2);
     util::StringInterner ua_tokens;
-    pipeline::MultiTailer tailer(
-        logs.paths,
-        pipeline::MultiTailer::BatchSink(
-            [&](pipeline::RecordBatch&& batch) {
-              for (auto& record : batch)
-                record.ua_token = ua_tokens.intern(record.user_agent);
-              sharded.process_batch(std::move(batch));
-            }),
-        /*batch_records=*/7, pipeline::MultiTailConfig{},
-        &sharded.batch_pool());
+    auto tailer = sharded_tailer(logs.paths, sharded, ua_tokens);
     logs.write_range(0, phase_split);
     (void)tailer.poll();
     (void)tailer.flush();
@@ -494,16 +486,7 @@ TEST(WarmResumeSharded, BatchedKillWithInFlightBatchesIsByteIdentical) {
         [] { return detectors::make_paper_pair(); }, kShards,
         /*batch_size=*/64, /*max_backlog=*/16 * 1024, /*dispatchers=*/1);
     util::StringInterner ua_tokens;
-    pipeline::MultiTailer tailer(
-        logs.paths,
-        pipeline::MultiTailer::BatchSink(
-            [&](pipeline::RecordBatch&& batch) {
-              for (auto& record : batch)
-                record.ua_token = ua_tokens.intern(record.user_agent);
-              sharded.process_batch(std::move(batch));
-            }),
-        /*batch_records=*/64, pipeline::MultiTailConfig{},
-        &sharded.batch_pool());
+    auto tailer = sharded_tailer(logs.paths, sharded, ua_tokens);
     util::StateReader r(session.state);
     ASSERT_TRUE(ua_tokens.load_state(r));
     ASSERT_TRUE(sharded.load_state(r));

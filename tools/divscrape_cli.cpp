@@ -1,12 +1,14 @@
 // divscrape — command-line front end to the library.
 //
-//   divscrape generate  [opts]   write a simulated CLF access log to stdout
 //   divscrape simulate  <scenario|spec.json>  run a catalog/spec workload
-//                                through the parallel WorkloadEngine
+//                                through the parallel WorkloadEngine (CLF
+//                                on stdout unless --out/--detect)
 //   divscrape analyze   <log>    run the two detectors over a CLF file
 //   divscrape tail      <log>... follow growing CLF file(s) (deployment mode)
-//   divscrape tables    [opts]   regenerate the paper's four tables
-//   divscrape export    [opts]   run the experiment, emit JSON results
+//   divscrape tables    [scenario|spec.json]  regenerate the paper's four
+//                                tables (default scenario: amadeus_like)
+//   divscrape export    [scenario|spec.json]  run the experiment, emit
+//                                JSON results (default: amadeus_like)
 //   divscrape label     <log>    heuristically label a CLF file (paper §V)
 //   divscrape soak      [scenario]  chaos soak: closed generate->tail loop
 //                                under scripted faults (default: megasite)
@@ -17,10 +19,17 @@
 //
 // Common options:
 //   --config <file>     key=value config (see core/config.hpp header)
-//   --set k=v           inline override (repeatable)
+//   --set k=v           inline override (repeatable); a key the command
+//                       does not read is a usage error (exit 2)
 //   --scale <s>         shorthand for --set scenario.scale=s
 //   --alerts <file>     (analyze) also write a JSONL alert log
 //   --csv <prefix>      (export) also write <prefix>_{totals,pairs,status}.csv
+//
+// Scenarios: every command that generates traffic takes a catalog name or
+// a spec file. Seeds, durations and populations are set in the spec: dump
+// a template with `simulate <name> --dump-spec > my.json`, edit it, and
+// pass my.json in place of the name. `--scale` is the one scenario knob on
+// the command line.
 //
 // Simulate options:
 //   --list              print the scenario catalog and exit
@@ -95,7 +104,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/experiment.hpp"
 #include "core/export.hpp"
 #include "core/labeling.hpp"
 #include "core/paper_reference.hpp"
@@ -113,13 +121,13 @@
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
 #include "pipeline/tailer.hpp"
-#include "traffic/scenario.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/atomic_file.hpp"
 #include "util/interner.hpp"
 #include "util/state.hpp"
 #include "workload/catalog.hpp"
 #include "workload/engine.hpp"
+#include "workload/experiment.hpp"
 
 using namespace divscrape;
 
@@ -160,7 +168,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: divscrape "
-      "<generate|simulate|analyze|tail|tables|export|label|soak|score> "
+      "<simulate|analyze|tail|tables|export|label|soak|score> "
       "[options]\n"
       "  score    <scenario|spec.json> [--json <file>] [--gen-threads <n>]\n"
       "  simulate <scenario|spec.json> [--list] [--dump-spec]\n"
@@ -169,9 +177,11 @@ int usage() {
       "[--shards <n>]\n"
       "  soak     [scenario] [--out <dir>] [--bench <file>] [--smoke]\n"
       "           [--chaos-seed <n>] [--rss-limit-mb <n>]\n"
+      "  tables|export [scenario|spec.json]   (default amadeus_like)\n"
       "  --config <file>       load key=value configuration\n"
       "  --set k=v             inline config override (repeatable)\n"
-      "  --scale <s>           scenario scale in (0,1]\n"
+      "  --scale <s>           scenario scale (> 0); other scenario knobs\n"
+      "                        live in spec files (simulate --dump-spec)\n"
       "  --alerts <file>       (analyze) write JSONL alert log\n"
       "  --csv <prefix>        (export) also write CSV files\n"
       "  --checkpoint <file>   (tail, 1 log) resume/persist ingest position\n"
@@ -340,12 +350,6 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
   return true;
 }
 
-traffic::ScenarioConfig scenario_from(const core::KeyValueConfig& config) {
-  auto scenario = traffic::amadeus_like(1.0);
-  core::apply_scenario_config(config, scenario);
-  return scenario;
-}
-
 std::vector<std::unique_ptr<detectors::Detector>> pair_from(
     const core::KeyValueConfig& config) {
   detectors::SentinelConfig sc;
@@ -358,24 +362,15 @@ std::vector<std::unique_ptr<detectors::Detector>> pair_from(
   return pool;
 }
 
-int cmd_generate(const CliOptions& opts) {
-  traffic::Scenario scenario(scenario_from(opts.config));
-  httplog::LogWriter writer(std::cout);
-  httplog::LogRecord record;
-  while (scenario.next(record)) writer.write(record);
-  std::fprintf(stderr, "generated %llu records\n",
-               static_cast<unsigned long long>(writer.lines_written()));
-  return 0;
-}
-
 void print_detector_summary(const core::JointResults& r);
 
 volatile std::sig_atomic_t g_tail_interrupted = 0;
 
 void tail_sigint(int) { g_tail_interrupted = 1; }
 
-/// Resolves the simulate/soak/score positional: a catalog name first, then
-/// a spec file. The catalog wins on a name collision (rename the file).
+/// Resolves the scenario positional of simulate/soak/score/tables/export:
+/// a catalog name first, then a spec file. The catalog wins on a name
+/// collision (rename the file).
 std::optional<workload::ScenarioSpec> resolve_spec(const CliOptions& opts) {
   const bool scale_set = opts.config.get("scenario.scale").has_value();
   const double scale = opts.config.get_double("scenario.scale", 1.0);
@@ -1103,12 +1098,20 @@ int cmd_score(const CliOptions& opts) {
   return 0;
 }
 
+/// tables/export: the configured detector pair over the positional scenario
+/// (default amadeus_like, the paper reproduction).
+std::optional<workload::ExperimentOutput> run_pair_experiment(
+    CliOptions opts) {
+  if (opts.input.empty()) opts.input = "amadeus_like";
+  const auto spec = resolve_spec(opts);
+  if (!spec) return std::nullopt;
+  return workload::run_experiment(*spec, pair_from(opts.config));
+}
+
 int cmd_tables(const CliOptions& opts) {
-  core::ExperimentConfig config;
-  config.scenario = scenario_from(opts.config);
-  const auto pool = pair_from(opts.config);
-  const auto out = core::run_experiment(config, pool);
-  const auto& r = out.results;
+  const auto out = run_pair_experiment(opts);
+  if (!out) return 1;
+  const auto& r = out->results;
   const auto& pair = r.pair(0, 1);
 
   std::printf("Table 1\n");
@@ -1143,24 +1146,22 @@ int cmd_tables(const CliOptions& opts) {
 }
 
 int cmd_export(const CliOptions& opts) {
-  core::ExperimentConfig config;
-  config.scenario = scenario_from(opts.config);
-  const auto pool = pair_from(opts.config);
-  const auto out = core::run_experiment(config, pool);
-  core::export_json(out.results, std::cout);
+  const auto out = run_pair_experiment(opts);
+  if (!out) return 1;
+  core::export_json(out->results, std::cout);
   std::cout << '\n';
   if (!opts.csv_prefix.empty()) {
     {
       std::ofstream f(opts.csv_prefix + "_totals.csv");
-      core::export_totals_csv(out.results, f);
+      core::export_totals_csv(out->results, f);
     }
     {
       std::ofstream f(opts.csv_prefix + "_pairs.csv");
-      core::export_pairs_csv(out.results, f);
+      core::export_pairs_csv(out->results, f);
     }
     {
       std::ofstream f(opts.csv_prefix + "_status.csv");
-      core::export_status_csv(out.results, f);
+      core::export_status_csv(out->results, f);
     }
     std::fprintf(stderr, "wrote %s_{totals,pairs,status}.csv\n",
                  opts.csv_prefix.c_str());
@@ -1197,6 +1198,25 @@ int cmd_label(const CliOptions& opts) {
   return 0;
 }
 
+/// Config keys `opts.command` never reads. Runs the command's appliers on
+/// throwaway configs (marking what they consume), so a mistyped or retired
+/// key is named up front instead of being silently ignored.
+std::vector<std::string> unread_config_keys(const CliOptions& opts) {
+  const std::string& c = opts.command;
+  if (c == "simulate" || c == "tables" || c == "export" || c == "soak" ||
+      c == "score") {
+    (void)opts.config.get("scenario.scale");
+  }
+  if (c == "analyze" || c == "tail" || c == "tables" || c == "export" ||
+      (c == "simulate" && opts.detect)) {
+    detectors::SentinelConfig sentinel;
+    detectors::ArcaneConfig arcane;
+    core::apply_sentinel_config(opts.config, sentinel);
+    core::apply_arcane_config(opts.config, arcane);
+  }
+  return opts.config.unconsumed();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1209,7 +1229,13 @@ int main(int argc, char** argv) {
                  opts.command.c_str());
     return usage();
   }
-  if (opts.command == "generate") return cmd_generate(opts);
+  if (const auto unread = unread_config_keys(opts); !unread.empty()) {
+    for (const auto& key : unread) {
+      std::fprintf(stderr, "%s: config key \"%s\" is not read by this "
+                   "command\n", opts.command.c_str(), key.c_str());
+    }
+    return 2;
+  }
   if (opts.command == "simulate") return cmd_simulate(opts);
   if (opts.command == "analyze") return cmd_analyze(opts);
   if (opts.command == "tail") return cmd_tail(opts);
