@@ -2,6 +2,7 @@
 // format→parse round-trip property over randomly generated records.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 #include "httplog/clf.hpp"
@@ -62,10 +63,16 @@ TEST(Clf, TrailingNewlineTolerated) {
                   .ok());
 }
 
+// Cases print as `name`, which ctest uses as the case's test name. Without
+// PrintTo the name would be the raw bytes of this struct (a string pointer
+// plus padding), which change from run to run.
 struct ErrorCase {
+  const char* name;
   const char* line;
   ClfError error;
 };
+
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
 
 class ClfErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
@@ -78,29 +85,37 @@ TEST_P(ClfErrorTest, Categorized) {
 INSTANTIATE_TEST_SUITE_P(
     Categories, ClfErrorTest,
     ::testing::Values(
-        ErrorCase{"", ClfError::kEmptyLine},
-        ErrorCase{"999.1.1.1 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"EmptyLine", "", ClfError::kEmptyLine},
+        ErrorCase{"BadIp",
+                  "999.1.1.1 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" 200 1 \"-\" \"-\"",
                   ClfError::kBadIp},
-        ErrorCase{"1.2.3.4 - - 11/Mar/2018:00:00:00 \"GET / HTTP/1.1\" 200 "
+        ErrorCase{"UnbracketedTimestamp",
+                  "1.2.3.4 - - 11/Mar/2018:00:00:00 \"GET / HTTP/1.1\" 200 "
                   "1 \"-\" \"-\"",
                   ClfError::kBadTimestamp},
-        ErrorCase{"1.2.3.4 - - [11/Xxx/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"UnknownMonth",
+                  "1.2.3.4 - - [11/Xxx/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" 200 1 \"-\" \"-\"",
                   ClfError::kBadTimestamp},
-        ErrorCase{"1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] GET / 200 1 "
+        ErrorCase{"UnquotedRequest",
+                  "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] GET / 200 1 "
                   "\"-\" \"-\"",
                   ClfError::kBadRequestLine},
-        ErrorCase{"1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"StatusOutOfRange",
+                  "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" 999 1 \"-\" \"-\"",
                   ClfError::kBadStatus},
-        ErrorCase{"1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"NonNumericStatus",
+                  "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" abc 1 \"-\" \"-\"",
                   ClfError::kBadStatus},
-        ErrorCase{"1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"NonNumericBytes",
+                  "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" 200 12x \"-\" \"-\"",
                   ClfError::kBadBytes},
-        ErrorCase{"1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"MissingUserAgent",
+                  "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" 200 1 \"-\"",
                   ClfError::kTruncated}));
 

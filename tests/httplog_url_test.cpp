@@ -1,6 +1,8 @@
 // Request-target parsing and path-taxonomy tests.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "httplog/url.hpp"
 
 namespace {
@@ -85,10 +87,15 @@ TEST(PathExtension, Lowercased) {
   EXPECT_EQ(path_extension("/x."), "");
 }
 
+// Cases print as `name`, the stable ctest name; see ErrorCase in
+// httplog_clf_test.
 struct AssetCase {
+  const char* name;
   const char* path;
   bool asset;
 };
+
+void PrintTo(const AssetCase& c, std::ostream* os) { *os << c.name; }
 
 class AssetTest : public ::testing::TestWithParam<AssetCase> {};
 
@@ -99,14 +106,14 @@ TEST_P(AssetTest, Classification) {
 
 INSTANTIATE_TEST_SUITE_P(
     Paths, AssetTest,
-    ::testing::Values(AssetCase{"/static/app-1.js", true},
-                      AssetCase{"/static/theme.css", true},
-                      AssetCase{"/img/logo.png", true},
-                      AssetCase{"/fonts/x.woff2", true},
-                      AssetCase{"/offers/123", false},
-                      AssetCase{"/search", false},
-                      AssetCase{"/robots.txt", false},
-                      AssetCase{"/data.json", false}));
+    ::testing::Values(AssetCase{"StaticJs", "/static/app-1.js", true},
+                      AssetCase{"StaticCss", "/static/theme.css", true},
+                      AssetCase{"PngImage", "/img/logo.png", true},
+                      AssetCase{"Woff2Font", "/fonts/x.woff2", true},
+                      AssetCase{"OfferPage", "/offers/123", false},
+                      AssetCase{"SearchPage", "/search", false},
+                      AssetCase{"RobotsTxt", "/robots.txt", false},
+                      AssetCase{"JsonData", "/data.json", false}));
 
 TEST(PathTemplate, CollapsesNumericSegments) {
   EXPECT_EQ(path_template("/offers/123"), "/offers/{n}");
