@@ -851,10 +851,9 @@ std::uint64_t WorkloadEngine::run_rounds(
   return emitted_;
 }
 
-std::vector<httplog::LogRecord> generate(const ScenarioSpec& spec,
-                                         EngineConfig config) {
+std::vector<httplog::LogRecord> generate(const ScenarioSpec& spec) {
   std::vector<httplog::LogRecord> records;
-  WorkloadEngine engine(spec, config);
+  WorkloadEngine engine(spec);
   (void)engine.run([&records](httplog::LogRecord&& record) {
     records.push_back(std::move(record));
   });

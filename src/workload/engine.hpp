@@ -88,7 +88,7 @@ struct EngineConfig {
 /// Runs `spec` to completion and returns the whole stream — for tests,
 /// benches and examples that want the records materialized.
 [[nodiscard]] std::vector<httplog::LogRecord> generate(
-    const ScenarioSpec& spec, EngineConfig config = EngineConfig());
+    const ScenarioSpec& spec);
 
 /// Ordinal-range descriptor of one scripted-actor group (engine internal).
 struct ActorGroup;

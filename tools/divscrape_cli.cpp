@@ -161,7 +161,12 @@ struct CliOptions {
   std::size_t gen_threads = 1;
   std::size_t partitions = 0;  ///< 0 = engine default
   std::uint64_t flush_every = 100000;
+  /// Raw --config/--set store. read_config() reads it once, into the
+  /// typed fields below; nothing else reads it.
   core::KeyValueConfig config;
+  std::optional<double> scale;  ///< scenario.scale, when set
+  detectors::SentinelConfig sentinel;
+  detectors::ArcaneConfig arcane;
 };
 
 int usage() {
@@ -351,14 +356,10 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
 }
 
 std::vector<std::unique_ptr<detectors::Detector>> pair_from(
-    const core::KeyValueConfig& config) {
-  detectors::SentinelConfig sc;
-  detectors::ArcaneConfig ac;
-  core::apply_sentinel_config(config, sc);
-  core::apply_arcane_config(config, ac);
+    const CliOptions& opts) {
   std::vector<std::unique_ptr<detectors::Detector>> pool;
-  pool.push_back(std::make_unique<detectors::SentinelDetector>(sc));
-  pool.push_back(std::make_unique<detectors::ArcaneDetector>(ac));
+  pool.push_back(std::make_unique<detectors::SentinelDetector>(opts.sentinel));
+  pool.push_back(std::make_unique<detectors::ArcaneDetector>(opts.arcane));
   return pool;
 }
 
@@ -372,14 +373,15 @@ void tail_sigint(int) { g_tail_interrupted = 1; }
 /// a catalog name first, then a spec file. The catalog wins on a name
 /// collision (rename the file).
 std::optional<workload::ScenarioSpec> resolve_spec(const CliOptions& opts) {
-  const bool scale_set = opts.config.get("scenario.scale").has_value();
-  const double scale = opts.config.get_double("scenario.scale", 1.0);
-  if (scale_set && scale <= 0.0) {
+  if (opts.scale && *opts.scale <= 0.0) {
     std::fprintf(stderr, "%s: --scale must be > 0 (got %g)\n",
-                 opts.command.c_str(), scale);
+                 opts.command.c_str(), *opts.scale);
     return std::nullopt;
   }
-  if (auto spec = workload::catalog_entry(opts.input, scale)) return spec;
+  if (auto spec =
+          workload::catalog_entry(opts.input, opts.scale.value_or(1.0))) {
+    return spec;
+  }
   std::string error;
   auto spec = workload::ScenarioSpec::load(opts.input, &error);
   if (!spec) {
@@ -389,7 +391,7 @@ std::optional<workload::ScenarioSpec> resolve_spec(const CliOptions& opts) {
                  opts.command.c_str(), opts.input.c_str(), error.c_str());
     return std::nullopt;
   }
-  if (scale_set) spec->scale = scale;  // --scale overrides the file
+  if (opts.scale) spec->scale = *opts.scale;  // --scale overrides the file
   return spec;
 }
 
@@ -458,10 +460,10 @@ int cmd_simulate(const CliOptions& opts) {
   if (opts.detect) {
     if (opts.shards > 1) {
       sharded = std::make_unique<pipeline::ShardedPipeline>(
-          [&opts] { return pair_from(opts.config); }, opts.shards,
+          [&opts] { return pair_from(opts); }, opts.shards,
           /*batch_size=*/1024, /*max_backlog=*/16 * 1024, opts.dispatchers);
     } else {
-      pool = pair_from(opts.config);
+      pool = pair_from(opts);
       joiner = std::make_unique<core::AlertJoiner>(pool);
     }
   }
@@ -541,7 +543,7 @@ int cmd_analyze(const CliOptions& opts) {
     std::fprintf(stderr, "cannot open %s\n", opts.input.c_str());
     return 1;
   }
-  const auto pool = pair_from(opts.config);
+  const auto pool = pair_from(opts);
   core::AlertJoiner joiner(pool);
 
   std::ofstream alerts_file;
@@ -649,7 +651,7 @@ int cmd_tail_multi(const CliOptions& opts) {
   const auto make_tailer = [&]() -> pipeline::MultiTailer {
     if (opts.shards > 1) {
       sharded = std::make_unique<pipeline::ShardedPipeline>(
-          [&opts] { return pair_from(opts.config); }, opts.shards,
+          [&opts] { return pair_from(opts); }, opts.shards,
           /*batch_size=*/1024, /*max_backlog=*/16 * 1024, opts.dispatchers);
       return pipeline::MultiTailer(
           opts.inputs,
@@ -661,7 +663,7 @@ int cmd_tail_multi(const CliOptions& opts) {
               }),
           /*batch_records=*/1024, tail_config, &sharded->batch_pool());
     }
-    pool = pair_from(opts.config);
+    pool = pair_from(opts);
     engine = std::make_unique<pipeline::ReplayEngine>(pool);
     return pipeline::MultiTailer(
         opts.inputs,
@@ -889,7 +891,7 @@ int cmd_tail(const CliOptions& opts) {
     }
     return cmd_tail_multi(opts);
   }
-  const auto pool = pair_from(opts.config);
+  const auto pool = pair_from(opts);
   pipeline::ReplayEngine engine(pool);
   pipeline::LogTailer tailer(opts.input, engine);
 
@@ -975,9 +977,7 @@ int cmd_tail(const CliOptions& opts) {
 /// reference byte for byte, every kill resumed warm and RSS stayed bounded.
 int cmd_soak(CliOptions opts) {
   if (opts.input.empty()) opts.input = "megasite";
-  if (opts.smoke && !opts.config.get("scenario.scale").has_value()) {
-    opts.config.set("scenario.scale", "0.01");
-  }
+  if (opts.smoke && !opts.scale) opts.scale = 0.01;
   auto spec = resolve_spec(opts);
   if (!spec) return 1;
 
@@ -1105,7 +1105,7 @@ std::optional<workload::ExperimentOutput> run_pair_experiment(
   if (opts.input.empty()) opts.input = "amadeus_like";
   const auto spec = resolve_spec(opts);
   if (!spec) return std::nullopt;
-  return workload::run_experiment(*spec, pair_from(opts.config));
+  return workload::run_experiment(*spec, pair_from(opts));
 }
 
 int cmd_tables(const CliOptions& opts) {
@@ -1198,21 +1198,21 @@ int cmd_label(const CliOptions& opts) {
   return 0;
 }
 
-/// Config keys `opts.command` never reads. Runs the command's appliers on
-/// throwaway configs (marking what they consume), so a mistyped or retired
-/// key is named up front instead of being silently ignored.
-std::vector<std::string> unread_config_keys(const CliOptions& opts) {
+/// The one place the CLI reads its --config/--set store: fills the typed
+/// fields `opts.command` uses and returns the keys none of its appliers
+/// read, so a mistyped or retired key is named up front instead of being
+/// silently ignored.
+std::vector<std::string> read_config(CliOptions& opts) {
   const std::string& c = opts.command;
-  if (c == "simulate" || c == "tables" || c == "export" || c == "soak" ||
-      c == "score") {
-    (void)opts.config.get("scenario.scale");
+  if ((c == "simulate" || c == "tables" || c == "export" || c == "soak" ||
+       c == "score") &&
+      opts.config.get("scenario.scale")) {
+    opts.scale = opts.config.get_double("scenario.scale", 1.0);
   }
   if (c == "analyze" || c == "tail" || c == "tables" || c == "export" ||
       (c == "simulate" && opts.detect)) {
-    detectors::SentinelConfig sentinel;
-    detectors::ArcaneConfig arcane;
-    core::apply_sentinel_config(opts.config, sentinel);
-    core::apply_arcane_config(opts.config, arcane);
+    core::apply_sentinel_config(opts.config, opts.sentinel);
+    core::apply_arcane_config(opts.config, opts.arcane);
   }
   return opts.config.unconsumed();
 }
@@ -1229,7 +1229,7 @@ int main(int argc, char** argv) {
                  opts.command.c_str());
     return usage();
   }
-  if (const auto unread = unread_config_keys(opts); !unread.empty()) {
+  if (const auto unread = read_config(opts); !unread.empty()) {
     for (const auto& key : unread) {
       std::fprintf(stderr, "%s: config key \"%s\" is not read by this "
                    "command\n", opts.command.c_str(), key.c_str());
