@@ -9,8 +9,6 @@
 // readable), the relative deviation, and a factor-of-two shape verdict.
 #pragma once
 
-#include <sys/resource.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -88,26 +86,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
   return args;
 }
 
-/// Peak resident set size of this process in kilobytes. ru_maxrss is
-/// kilobytes on Linux but bytes on macOS.
-inline std::uint64_t peak_rss_kb() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  auto rss = static_cast<std::uint64_t>(usage.ru_maxrss);
-#ifdef __APPLE__
-  rss /= 1024;
-#endif
-  return rss;
-}
-
-/// *Current* resident set size in kilobytes — unlike peak_rss_kb() this can
-/// detect mid-run growth and post-catch-up shrink, which is what soak
-/// watermarks need. /proc/self/statm on Linux, peak fallback elsewhere.
-inline std::uint64_t current_rss_kb() {
-  const auto kb = util::current_rss_kb();
-  return kb > 0 ? static_cast<std::uint64_t>(kb) : 0;
-}
-
 /// One measured end-to-end run for the machine-readable bench output.
 struct ThroughputRun {
   std::string mode;        ///< "sequential" or "sharded"
@@ -129,9 +107,8 @@ struct ThroughputRun {
 /// Writes the shared machine-readable bench document:
 /// {schema, bench, scenario, scale, peak_rss_kb, runs:[{mode, shards,
 ///  records, wall_s, records_per_sec, ns_per_record}]}.
-/// Every perf PR regenerates this to prove (or disprove) its speedup.
 /// `scenario` names the workload measured (bench_workload runs catalog
-/// entries; everything else runs the paper scenario).
+/// entries; bench_serial_parallel runs the paper scenario).
 inline bool write_throughput_json(const std::string& path,
                                   const std::string& bench_name, double scale,
                                   const std::vector<ThroughputRun>& runs,
@@ -148,7 +125,7 @@ inline bool write_throughput_json(const std::string& path,
   json.key("bench").value(bench_name);
   json.key("scenario").value(scenario);
   json.key("scale").value(scale);
-  json.key("peak_rss_kb").value(peak_rss_kb());
+  json.key("peak_rss_kb").value(util::peak_rss_kb());
   json.key("runs").begin_array();
   for (const auto& run : runs) {
     json.begin_object();

@@ -5,15 +5,16 @@
 // actually be executed (not derived) because the second tool's behavioural
 // state then evolves from a censored stream.
 //
-// Part 2 (PR 9) revives the bench as the scaling harness for the batched
+// Part 2 is the repo's one in-tree scaling smoke for the batched
 // pipeline: serial (sequential engine) vs parallel (ShardedPipeline) runs
 // of the SAME deployment across (shards × dispatchers × batch size)
 // combinations. Every timed combo row is identity-gated first — the
 // combo's JointResults must serialize byte-identically to the sequential
 // engine's at a cheap gate scale, and the timed full-scale pass is
 // compared again — so a wrong-but-fast pipeline reports failure here
-// instead of a flattering number. `--json` emits the rows for
-// BENCH_throughput.json.
+// instead of a flattering number. `--json` writes the rows as a
+// divscrape.bench_throughput.v1 document. The performance ledger, with a
+// stated method and per-layer costs, is perfbench (perfbench/README.md).
 //
 // Usage: bench_serial_parallel [scale] [--json <path>] [--repeat <n>]
 // (default scale 0.2; --repeat N reports min-of-N wall per row — the
@@ -204,9 +205,11 @@ int run_scaling_sweep(double scale, const std::string& json_path,
   runs.push_back({"sequential", 0, sequential.records,
                   sequential.wall_seconds});
 
+  // Odd shard counts only: shard_of reduces a /24 key whose low 8 bits are
+  // zero, so a power-of-two count would put every record on shard 0.
   const Combo combos[] = {
-      {1, 1, 1024}, {2, 1, 1024}, {2, 2, 256},
-      {4, 2, 1024}, {4, 4, 64},   {8, 4, 1024},
+      {1, 1, 1024}, {3, 1, 1024}, {3, 3, 256},
+      {5, 1, 1024}, {5, 5, 64},   {7, 3, 1024},
   };
 
   std::printf("  %-24s %10s %14s %10s %10s\n", "combo (s/d/b)", "wall(s)",

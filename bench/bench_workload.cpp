@@ -1,8 +1,8 @@
 // Workload-generation throughput: the WorkloadEngine's parallel
 // time-merged generation over a catalog scenario, at 1 / 2 / 4 generator
 // threads (the shards column records the thread count) — the
-// generation-side counterpart of bench_throughput (detection) and
-// bench_tail (live ingest).
+// generation-side counterpart of bench_serial_parallel (detection) and of
+// perfbench's live_tail4 / catchup_warm4 workloads (live ingest).
 //
 // Before the timed rows, the determinism contract is enforced: the full
 // CLF stream at gen_threads 1, 2 and 4 must hash identically (FNV-1a 64)
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
                 run.ns_per_record());
   }
   std::printf("\n  peak RSS: %llu kB\n",
-              static_cast<unsigned long long>(bench::peak_rss_kb()));
+              static_cast<unsigned long long>(util::peak_rss_kb()));
 
   if (!json_path.empty()) {
     if (!bench::write_throughput_json(json_path, "bench_workload", scale,

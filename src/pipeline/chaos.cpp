@@ -128,9 +128,12 @@ MultiTailConfig exact_merge_config() {
 class ShadowSource {
  public:
   explicit ShadowSource(const std::string& path)
-      : in_(path, std::ios::binary), decoder_([this](httplog::LogRecord&& r) {
-          queue_.push_back(std::move(r));
-        }) {}
+      : in_(path, std::ios::binary),
+        decoder_(
+            [this](RecordBatch&& batch) {
+              for (auto& r : batch) queue_.push_back(std::move(r));
+            },
+            /*batch_records=*/1024) {}
 
   bool next(httplog::LogRecord& out) {
     while (queue_.empty()) {

@@ -5,12 +5,24 @@
 
 namespace divscrape::pipeline {
 
+namespace {
+/// Granularity of each file's decode batches. Not observable: the decoder
+/// flushes at every feed() boundary and the records enter the merge one at
+/// a time, in file order, so the sequence of enqueue() calls is the same
+/// for any value. Kept small because the records are moved out at once —
+/// a larger batch only grows the two slot arrays each file keeps alive.
+constexpr std::size_t kDecodeBatchRecords = 64;
+}  // namespace
+
 MultiTailer::Input::Input(MultiTailer* owner, std::uint32_t index,
                           std::string file_path,
                           const TailConfig& tail_config)
-    : decoder([owner, index](httplog::LogRecord&& record) {
-        owner->enqueue(index, std::move(record));
-      }),
+    : decoder(
+          [this, owner, index](RecordBatch&& batch) {
+            for (auto& record : batch) owner->enqueue(index, std::move(record));
+            pool.recycle(std::move(batch));
+          },
+          kDecodeBatchRecords, &pool),
       tailer(std::move(file_path), decoder, tail_config) {}
 
 MultiTailer::MultiTailer(std::vector<std::string> paths, RecordSink sink,

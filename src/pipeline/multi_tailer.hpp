@@ -31,11 +31,15 @@
 // wall-clock idle policy — call flush() once poll() has returned 0 for a
 // while (the CLI flushes after two empty polls).
 //
-// The sink is a plain callable: `ReplayEngine::process_record` for
-// sequential consumption, or a lambda that stamps and forwards into a
-// ShardedPipeline for multi-core consumption (records sharing detector
-// state — same /24 — always land in one shard, so sharded results merge
-// bit-identically; see sharded.hpp).
+// Each file's LineDecoder hands its records over in RecordBatches; they
+// enter the heap one at a time, in file order, and the decoder flushes
+// before every feed() returns, so the merge sees the same sequence a
+// per-record handoff would. The merged stream leaves through one of two
+// sinks: a per-record sink (`ReplayEngine::process_record` for sequential
+// consumption) or a RecordBatch sink (a lambda that stamps and forwards into
+// `ShardedPipeline::process_batch` for multi-core consumption — records
+// sharing detector state, same /24, always land in one shard, so sharded
+// results merge bit-identically; see sharded.hpp).
 //
 // ## Checkpoints
 //
@@ -177,6 +181,7 @@ class MultiTailer {
   struct Input {
     Input(MultiTailer* owner, std::uint32_t index, std::string file_path,
           const TailConfig& tail_config);
+    BatchPool pool;              ///< recycles this file's decode batches
     LineDecoder decoder;
     LogTailer tailer;
     std::uint64_t seq = 0;       ///< per-file arrival counter

@@ -118,11 +118,4 @@ bool TrafficGenerator::next(httplog::LogRecord& out) {
   return false;
 }
 
-std::vector<httplog::LogRecord> TrafficGenerator::drain() {
-  std::vector<httplog::LogRecord> records;
-  httplog::LogRecord rec;
-  while (next(rec)) records.push_back(rec);
-  return records;
-}
-
 }  // namespace divscrape::traffic

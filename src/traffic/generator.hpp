@@ -77,9 +77,6 @@ class TrafficGenerator {
   /// steady-state cost is an integer compare instead of a string probe.
   [[nodiscard]] bool next(httplog::LogRecord& out);
 
-  /// Drains the whole stream into a vector (tests / small scenarios only).
-  [[nodiscard]] std::vector<httplog::LogRecord> drain();
-
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
   [[nodiscard]] std::size_t live_actors() const noexcept {
     return live_actors_;

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -18,18 +20,26 @@ struct CliRun {
 };
 
 /// Runs divscrape_cli with `args` (stdout discarded) and captures its exit
-/// status and stderr.
+/// status and stderr. The stderr file is named after the running test and
+/// the pid: ctest runs each case as its own process, possibly in parallel,
+/// and a shared file would be truncated under a case that is reading it.
 CliRun run_cli(const std::string& args) {
-  const std::string err_path = ::testing::TempDir() + "cli_config_keys.err";
+  const std::string err_path =
+      ::testing::TempDir() + "cli_config_keys." +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "." +
+      std::to_string(::getpid()) + ".err";
   const std::string command = std::string(DIVSCRAPE_CLI_PATH) + " " + args +
                               " >/dev/null 2>" + err_path;
   const int status = std::system(command.c_str());
   CliRun run;
   if (status != -1 && WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
-  std::ifstream in(err_path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  run.err = text.str();
+  {
+    std::ifstream in(err_path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    run.err = text.str();
+  }
+  std::remove(err_path.c_str());
   return run;
 }
 
