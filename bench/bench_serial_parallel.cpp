@@ -251,10 +251,8 @@ int run_scaling_sweep(double scale, const std::string& json_path,
   }
 
   std::printf(
-      "\nnote: the generator side is single-threaded, so speedup saturates\n"
-      "once detection stops being the bottleneck; on a 1-core host the\n"
-      "contract is sharded >= sequential (batching amortizes the handoff),\n"
-      "not scaling. /24-affine partitioning guarantees result identity.\n");
+      "\nnote: the speedup column is informational; only the identity gate\n"
+      "decides the exit status.\n");
 
   if (!json_path.empty()) {
     if (!bench::write_throughput_json(json_path, "bench_serial_parallel",

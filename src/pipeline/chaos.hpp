@@ -2,19 +2,19 @@
 //
 // One process plays both sides of a deployment: a WorkloadEngine generates
 // a scenario (megasite-class via lazy actors) into one live CLF log per
-// vhost through StreamWriters, while a MultiTailer + ReplayEngine ingests
-// those logs exactly as `divscrape tail --checkpoint-dir` would — periodic
-// warm checkpoints included. A seeded ChaosPlan injects faults at scripted
-// simulated-time epochs:
+// vhost through StreamWriters, while the session `divscrape tail
+// --checkpoint-dir` runs (pipeline::TailSession: sequential consumer,
+// exact merge) ingests those logs — periodic warm checkpoints included.
+// A seeded ChaosPlan injects faults at scripted simulated-time epochs:
 //
 //   * rotation (rename + recreate) and copytruncate-style truncation;
 //   * torn writes held across a poll (partial line visible to the tailer);
 //   * one-shot ENOSPC (a whole line dropped at the writer, by design);
 //   * short-write bursts through the writer's write_fn seam;
-//   * kill-anywhere: the entire ingest side (tailer, decoder, detectors)
-//     is destroyed WITHOUT any final flush or checkpoint, then rebuilt
-//     from whatever the last periodic persist left on disk — the
-//     in-process equivalent of SIGKILL + restart.
+//   * kill-anywhere: the TailSession (tailer, decoder, detectors) is
+//     destroyed WITHOUT any final flush or persist, and a new one
+//     resume()s from whatever the last periodic persist left on disk —
+//     the in-process equivalent of SIGKILL + restart.
 //
 // ## The oracle
 //

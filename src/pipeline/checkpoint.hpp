@@ -120,7 +120,7 @@ struct Checkpoint {
   }
 };
 
-/// Multi-file warm-resume snapshot (`tail --checkpoint-dir`): one atomic
+/// Warm-resume snapshot of a TailSession (`tail --checkpoint-dir`): one atomic
 /// file embedding the per-log ingest checkpoints AND the shared detection
 /// state. The per-log checkpoint files cannot carry the state — detection
 /// state spans all logs, and N+1 separate files cannot be committed

@@ -29,17 +29,18 @@
 // Both hatches are keyed to *simulated* time carried by new records, so
 // when every log goes quiet the heap's tail sits still; callers own the
 // wall-clock idle policy — call flush() once poll() has returned 0 for a
-// while (the CLI flushes after two empty polls).
+// while (`divscrape tail --follow` flushes after two empty polls).
 //
 // Each file's LineDecoder hands its records over in RecordBatches; they
 // enter the heap one at a time, in file order, and the decoder flushes
 // before every feed() returns, so the merge sees the same sequence a
 // per-record handoff would. The merged stream leaves through one of two
-// sinks: a per-record sink (`ReplayEngine::process_record` for sequential
-// consumption) or a RecordBatch sink (a lambda that stamps and forwards into
-// `ShardedPipeline::process_batch` for multi-core consumption — records
-// sharing detector state, same /24, always land in one shard, so sharded
-// results merge bit-identically; see sharded.hpp).
+// sinks: a RecordBatch sink — TailSession's for both consumers:
+// `ReplayEngine::process_batch`, or a lambda that stamps and forwards into
+// `ShardedPipeline::process_batch` (records sharing detector state, same
+// /24, always land in one shard, so sharded results merge bit-identically;
+// see sharded.hpp) — or a per-record sink, which only perfbench and tests
+// still use.
 //
 // ## Checkpoints
 //
@@ -47,8 +48,8 @@
 // already *decoded*, so records still buffered in the reorder heap are
 // covered too (they were decoded). Persist checkpoints only at a
 // quiescent point — after flush() — so a crash cannot lose heap-buffered
-// records that the offsets already committed: the CLI flushes the heap
-// before every checkpoint save for exactly this reason.
+// records that the offsets already committed: TailSession::persist
+// flushes the heap before every checkpoint save for exactly this reason.
 #pragma once
 
 #include <cstdint>

@@ -3,13 +3,16 @@
 // record index — including mid-torn-write and straddling a rotation — and
 // resumed from its checkpoint (ingest offset + detection-state blob,
 // committed atomically) must finish with JointResults *byte-identical* to
-// an uninterrupted run over the same stream, in single-file, multi-file
-// and sharded modes. The regression test comes first: it demonstrates the
+// an uninterrupted run over the same stream: single-file through
+// LogTailer, multi-file through pipeline::TailSession (the session the
+// tail CLI runs, sequential and sharded), and sharded with batches in
+// flight. The regression test comes first: it demonstrates the
 // divergence a state-less (pre-v3, cold) resume produces, i.e. the bug the
 // blob exists to fix.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -22,6 +25,7 @@
 #include "pipeline/multi_tailer.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
+#include "pipeline/tail_session.hpp"
 #include "pipeline/tailer.hpp"
 #include "stats/rng.hpp"
 #include "workload/catalog.hpp"
@@ -251,10 +255,10 @@ TEST(WarmResumeSingleFile, KillAfterRotationIsByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-file: one MultiTailer over kFiles logs, records fanned out
-// round-robin (each per-file stream stays time-ordered). Both runs write,
-// poll and flush at the same phase boundary, so they decode and emit the
-// same record sequence — the merge layer's determinism contract.
+// Multi-file: kFiles logs, records fanned out round-robin (each per-file
+// stream stays time-ordered). Runs that write, poll and flush at the same
+// phase boundary decode and emit the same record sequence — the merge
+// layer's determinism contract.
 
 struct MultiLogs {
   std::vector<std::string> paths;
@@ -277,75 +281,232 @@ struct MultiLogs {
   }
 };
 
-std::string uninterrupted_multi_file(const std::string& tag,
-                                     std::size_t phase_split) {
-  MultiLogs logs(tag);
-  const auto pool = detectors::make_paper_pair();
-  pipeline::ReplayEngine engine(pool);
-  pipeline::MultiTailer tailer(
-      logs.paths, [&engine](httplog::LogRecord&& record) {
-        engine.process_record(std::move(record));
-      });
-  logs.write_range(0, phase_split);
-  (void)tailer.poll();
-  (void)tailer.flush();
-  logs.write_range(phase_split, records().size());
-  (void)tailer.poll();
-  (void)tailer.flush();
-  EXPECT_EQ(tailer.stats().parsed, records().size());
-  return core::to_json(engine.results());
+// ---------------------------------------------------------------------------
+// TailSession: the session `divscrape tail --checkpoint-dir` and the chaos
+// soak run, at shards 1 (ReplayEngine) and 3 (ShardedPipeline behind the
+// dispatch interner). A kill is "destroy the session, construct a new one,
+// resume()" — the same code path a restarted CLI takes.
+
+// A checkpoint directory that resume() creates and the test removes.
+struct SessionDir {
+  std::string path;
+  std::vector<std::string> logs;
+
+  SessionDir(const std::string& tag, std::vector<std::string> log_paths)
+      : path(temp_path(tag)), logs(std::move(log_paths)) {}
+  ~SessionDir() {
+    for (const auto& log : logs)
+      std::remove(pipeline::checkpoint_file_for(path, log).c_str());
+    std::remove(session_file().c_str());
+    ::rmdir(path.c_str());
+  }
+  std::string session_file() const {
+    return path + "/tail_session.state.json";
+  }
+};
+
+class WarmResumeSession : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  std::string tag(const std::string& name) const {
+    return name + "_s" + std::to_string(GetParam());
+  }
+  std::unique_ptr<pipeline::TailSession> open(
+      const MultiLogs& logs, const std::string& checkpoint_dir) const {
+    return std::make_unique<pipeline::TailSession>(
+        logs.paths, [] { return detectors::make_paper_pair(); }, GetParam(),
+        /*dispatchers=*/1, /*reorder_window_us=*/2 * httplog::kMicrosPerSecond,
+        checkpoint_dir);
+  }
+  // Phase one into a fresh checkpoint dir, persisted, then the kill.
+  void run_first_phase(MultiLogs& logs, const SessionDir& dir,
+                       std::size_t split) const {
+    auto session = open(logs, dir.path);
+    const auto resumed = session->resume();
+    EXPECT_EQ(resumed.dir_errno, 0);
+    EXPECT_EQ(resumed.session, pipeline::TailSession::SessionBlob::kAbsent);
+    logs.write_range(0, split);
+    (void)session->tailer().poll();
+    EXPECT_TRUE(session->persist().empty());
+  }
+};
+
+TEST_P(WarmResumeSession, KillAtPhaseBoundaryIsByteIdentical) {
+  const auto& all = records();
+  const std::size_t split = all.size() / 2;
+  std::string baseline;
+  {
+    MultiLogs logs(tag("sess_base"));
+    auto session = open(logs, "");
+    logs.write_range(0, split);
+    (void)session->tailer().poll();
+    EXPECT_TRUE(session->persist().empty());
+    logs.write_range(split, all.size());
+    (void)session->tailer().poll();
+    EXPECT_TRUE(session->persist().empty());
+    EXPECT_EQ(session->tailer().stats().parsed, all.size());
+    baseline = core::to_json(session->finish());
+  }
+
+  MultiLogs logs(tag("sess_kill"));
+  SessionDir dir(tag("sess_kill_cp"), logs.paths);
+  run_first_phase(logs, dir, split);  // ends in the kill
+
+  auto session = open(logs, dir.path);
+  const auto resumed = session->resume();
+  EXPECT_TRUE(resumed.warm());
+  ASSERT_EQ(resumed.logs.size(), kFiles);
+  for (const auto& log : resumed.logs) {
+    EXPECT_TRUE(log.honored);
+    EXPECT_EQ(log.from, dir.session_file());
+  }
+  logs.write_range(split, all.size());
+  (void)session->tailer().poll();
+  EXPECT_TRUE(session->persist().empty());
+  EXPECT_EQ(core::to_json(session->finish()), baseline);
 }
 
-TEST(WarmResumeMultiFile, KillAtPhaseBoundaryIsByteIdentical) {
+// A blob that loads component by component but is not fully consumed must
+// not leave any of it behind: the session restarts exactly as cold as one
+// that never saw the blob, from the same per-log offsets.
+TEST_P(WarmResumeSession, RejectedBlobRestartsFullyCold) {
   const auto& all = records();
-  const std::size_t phase_split = all.size() / 2;
-  const std::string baseline =
-      uninterrupted_multi_file("multi_base", phase_split);
+  const std::size_t split = all.size() / 2;
+  MultiLogs logs(tag("sess_reject"));
+  SessionDir dir(tag("sess_reject_cp"), logs.paths);
+  run_first_phase(logs, dir, split);
 
-  MultiLogs logs("multi_kill");
-  pipeline::TailSessionState session;
-  {
-    const auto pool = detectors::make_paper_pair();
-    pipeline::ReplayEngine engine(pool);
-    pipeline::MultiTailer tailer(
-        logs.paths, [&engine](httplog::LogRecord&& record) {
-          engine.process_record(std::move(record));
-        });
-    logs.write_range(0, phase_split);
-    (void)tailer.poll();
-    (void)tailer.flush();  // quiescent: every decoded record is processed
-    for (std::size_t i = 0; i < tailer.files(); ++i) {
-      session.logs.emplace_back(tailer.path(i), tailer.checkpoint(i));
-    }
-    util::StateWriter w;
-    ASSERT_TRUE(engine.save_state(w));
-    session.state = w.take();
-    // Through the wire, as the tail CLI's session file round-trips it.
-    const auto wire = pipeline::TailSessionState::from_json(session.to_json());
-    ASSERT_TRUE(wire.has_value());
-    session = *wire;
-  }  // the kill
+  auto saved = pipeline::TailSessionState::load(dir.session_file());
+  ASSERT_TRUE(saved.has_value());
+  saved->state.push_back('\0');  // one trailing byte past the last component
+  ASSERT_TRUE(saved->save(dir.session_file()));
+  logs.write_range(split, all.size());
 
+  std::string rejected;
   {
-    const auto pool = detectors::make_paper_pair();
-    pipeline::ReplayEngine engine(pool);
-    pipeline::MultiTailer tailer(
-        logs.paths, [&engine](httplog::LogRecord&& record) {
-          engine.process_record(std::move(record));
-        });
-    ASSERT_EQ(session.logs.size(), tailer.files());
-    for (std::size_t i = 0; i < tailer.files(); ++i) {
-      EXPECT_EQ(session.logs[i].first, tailer.path(i));
-      ASSERT_TRUE(tailer.resume(i, session.logs[i].second));
+    auto session = open(logs, dir.path);
+    const auto resumed = session->resume();
+    EXPECT_EQ(resumed.session, pipeline::TailSession::SessionBlob::kRejected);
+    ASSERT_EQ(resumed.logs.size(), kFiles);
+    for (const auto& log : resumed.logs) {
+      EXPECT_TRUE(log.honored);
+      EXPECT_EQ(log.from,
+                pipeline::checkpoint_file_for(dir.path, logs.paths[log.file]));
     }
-    util::StateReader r(session.state);
-    ASSERT_TRUE(engine.load_state(r));
-    EXPECT_TRUE(r.at_end());
-    logs.write_range(phase_split, all.size());
-    (void)tailer.poll();
-    (void)tailer.flush();
-    EXPECT_EQ(core::to_json(engine.results()), baseline);
+    (void)session->tailer().poll();
+    (void)session->tailer().flush();
+    rejected = core::to_json(session->finish());
   }
+
+  // Reference: a session that finds no session file at all.
+  std::remove(dir.session_file().c_str());
+  auto cold = open(logs, dir.path);
+  const auto resumed = cold->resume();
+  EXPECT_EQ(resumed.session, pipeline::TailSession::SessionBlob::kAbsent);
+  EXPECT_EQ(resumed.logs.size(), kFiles);
+  (void)cold->tailer().poll();
+  (void)cold->tailer().flush();
+  const auto results = cold->finish();
+  EXPECT_EQ(results.total_requests(), all.size() - split);
+  EXPECT_EQ(rejected, core::to_json(results));
+}
+
+// Layout pin: checkpoint directories outlive binaries, so the session blob
+// is decoded here by its documented layout — mode byte, then the dispatch
+// interner and the sharded state (mode 1) or the engine state (mode 0).
+TEST_P(WarmResumeSession, SessionBlobLayoutIsModeByteThenComponents) {
+  const auto& all = records();
+  const std::size_t split = all.size() / 2;
+  MultiLogs logs(tag("sess_layout"));
+  SessionDir dir(tag("sess_layout_cp"), logs.paths);
+  run_first_phase(logs, dir, split);
+
+  const auto saved = pipeline::TailSessionState::load(dir.session_file());
+  ASSERT_TRUE(saved.has_value());
+  ASSERT_EQ(saved->logs.size(), kFiles);
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    EXPECT_EQ(saved->logs[i].first, logs.paths[i]);
+    const auto per_log = pipeline::Checkpoint::load(
+        pipeline::checkpoint_file_for(dir.path, logs.paths[i]));
+    ASSERT_TRUE(per_log.has_value());
+    EXPECT_EQ(saved->logs[i].second, *per_log);
+    EXPECT_TRUE(per_log->state.empty());
+  }
+
+  util::StateReader r(saved->state);
+  const std::uint8_t mode = r.u8();
+  std::uint64_t restored_requests = 0;
+  if (GetParam() > 1) {
+    EXPECT_EQ(mode, 1u);
+    util::StringInterner ua_tokens;
+    ASSERT_TRUE(ua_tokens.load_state(r));
+    pipeline::ShardedPipeline sharded(
+        [] { return detectors::make_paper_pair(); }, GetParam());
+    ASSERT_TRUE(sharded.load_state(r));
+    restored_requests = sharded.finish().total_requests();
+  } else {
+    EXPECT_EQ(mode, 0u);
+    const auto pool = detectors::make_paper_pair();
+    pipeline::ReplayEngine engine(pool);
+    ASSERT_TRUE(engine.load_state(r));
+    restored_requests = engine.results().total_requests();
+  }
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(restored_requests, split);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TailSession, WarmResumeSession, ::testing::Values(1, 3),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "shards" + std::to_string(info.param);
+    });
+
+// resume() creates a missing checkpoint dir, and reports (errno) one it
+// cannot create instead of tailing with nowhere to persist.
+TEST(WarmResumeSessionDir, MissingDirIsCreatedAndUncreatableIsReported) {
+  MultiLogs logs("dir_logs");
+  logs.write_range(0, 100);
+  {
+    SessionDir dir("dir_made_cp", logs.paths);
+    pipeline::TailSession session(
+        logs.paths, [] { return detectors::make_paper_pair(); }, 1, 1, 0,
+        dir.path);
+    const auto resumed = session.resume();
+    EXPECT_EQ(resumed.dir_errno, 0);
+    EXPECT_TRUE(resumed.logs.empty());
+    (void)session.tailer().poll();
+    EXPECT_TRUE(session.persist().empty());
+    EXPECT_TRUE(pipeline::TailSessionState::load(dir.session_file()));
+  }
+  pipeline::TailSession session(
+      logs.paths, [] { return detectors::make_paper_pair(); }, 1, 1, 0,
+      logs.paths[0] + "/cp");  // under a regular file
+  EXPECT_EQ(session.resume().dir_errno, ENOTDIR);
+}
+
+// A session file written for another set of logs restores nothing; every
+// log that has a per-log checkpoint still resumes its offset cold.
+TEST(WarmResumeSessionDir, OtherLogSetResumesCold) {
+  MultiLogs logs("other_logs");
+  logs.write_range(0, 300);
+  SessionDir dir("other_cp", logs.paths);
+  {
+    pipeline::TailSession session(
+        logs.paths, [] { return detectors::make_paper_pair(); }, 1, 1, 0,
+        dir.path);
+    (void)session.resume();
+    (void)session.tailer().poll();
+    ASSERT_TRUE(session.persist().empty());
+  }
+  const std::vector<std::string> subset(logs.paths.begin(),
+                                        logs.paths.begin() + 2);
+  pipeline::TailSession session(
+      subset, [] { return detectors::make_paper_pair(); }, 1, 1, 0, dir.path);
+  const auto resumed = session.resume();
+  EXPECT_EQ(resumed.session,
+            pipeline::TailSession::SessionBlob::kOtherLogSet);
+  ASSERT_EQ(resumed.logs.size(), subset.size());
+  for (const auto& log : resumed.logs) EXPECT_TRUE(log.honored);
 }
 
 // ---------------------------------------------------------------------------
@@ -386,55 +547,6 @@ std::string uninterrupted_sharded(const std::string& tag,
   (void)tailer.flush();
   EXPECT_EQ(tailer.stats().parsed, records().size());
   return core::to_json(sharded.finish());
-}
-
-TEST(WarmResumeSharded, KillAtPhaseBoundaryIsByteIdentical) {
-  const auto& all = records();
-  const std::size_t phase_split = all.size() / 2;
-  const std::string baseline = uninterrupted_sharded("shard_base", phase_split);
-
-  MultiLogs logs("shard_kill");
-  pipeline::TailSessionState session;
-  {
-    pipeline::ShardedPipeline sharded(
-        [] { return detectors::make_paper_pair(); }, kShards);
-    util::StringInterner ua_tokens;
-    auto tailer = sharded_tailer(logs.paths, sharded, ua_tokens);
-    logs.write_range(0, phase_split);
-    (void)tailer.poll();
-    (void)tailer.flush();
-    // save_state drains internally: the commit point sees every dispatched
-    // record processed, and the offsets below cover exactly those records.
-    util::StateWriter w;
-    ua_tokens.save_state(w);
-    ASSERT_TRUE(sharded.save_state(w));
-    for (std::size_t i = 0; i < tailer.files(); ++i) {
-      session.logs.emplace_back(tailer.path(i), tailer.checkpoint(i));
-    }
-    session.state = w.take();
-    const auto wire = pipeline::TailSessionState::from_json(session.to_json());
-    ASSERT_TRUE(wire.has_value());
-    session = *wire;
-  }  // the kill (ShardedPipeline aborts without finish(), as a crash would)
-
-  {
-    pipeline::ShardedPipeline sharded(
-        [] { return detectors::make_paper_pair(); }, kShards);
-    util::StringInterner ua_tokens;
-    auto tailer = sharded_tailer(logs.paths, sharded, ua_tokens);
-    util::StateReader r(session.state);
-    ASSERT_TRUE(ua_tokens.load_state(r));
-    ASSERT_TRUE(sharded.load_state(r));
-    EXPECT_TRUE(r.at_end());
-    ASSERT_EQ(session.logs.size(), tailer.files());
-    for (std::size_t i = 0; i < tailer.files(); ++i) {
-      ASSERT_TRUE(tailer.resume(i, session.logs[i].second));
-    }
-    logs.write_range(phase_split, all.size());
-    (void)tailer.poll();
-    (void)tailer.flush();
-    EXPECT_EQ(core::to_json(sharded.finish()), baseline);
-  }
 }
 
 // The batch seam under kill: records travel as RecordBatches through the

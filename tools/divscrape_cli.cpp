@@ -63,14 +63,12 @@
 //   --rss-limit-mb <n>  RSS high-water bound (default 4096)
 //
 // Tail options:
-//   --checkpoint <file>   resume from / persist an ingest checkpoint
-//                         (single-file mode; carries the detector-state
-//                         blob, so resume is warm when the blob restores)
-//   --checkpoint-dir <d>  per-log checkpoint files under one directory
-//                         (multi-file / sharded mode; works for one log
-//                         too). Adds tail_session.state.json: per-log
-//                         offsets + the shared detector state, committed
-//                         last so warm resume always sees a consistent cut
+//   --checkpoint-dir <d>  resume from / persist checkpoints under one
+//                         directory (created if missing): one per-log
+//                         offset file plus tail_session.state.json, the
+//                         per-log offsets + the shared detector state,
+//                         committed last so warm resume always sees a
+//                         consistent cut (see pipeline/tail_session.hpp)
 //   --shards <n>          dispatch merged records to a ShardedPipeline with
 //                         n worker threads (results print at exit); the
 //                         merged stream is framed into RecordBatches
@@ -116,15 +114,12 @@
 #include "httplog/io.hpp"
 #include "pipeline/alert_log.hpp"
 #include "pipeline/chaos.hpp"
-#include "pipeline/checkpoint.hpp"
 #include "pipeline/multi_tailer.hpp"
-#include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
-#include "pipeline/tailer.hpp"
+#include "pipeline/tail_session.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/atomic_file.hpp"
 #include "util/interner.hpp"
-#include "util/state.hpp"
 #include "workload/catalog.hpp"
 #include "workload/engine.hpp"
 #include "workload/experiment.hpp"
@@ -139,7 +134,6 @@ struct CliOptions {
   std::vector<std::string> inputs;  ///< all positionals (tail takes many)
   std::string alerts_path;
   std::string csv_prefix;
-  std::string checkpoint_path;
   std::string checkpoint_dir;
   std::string results_path;
   std::string out_path;
@@ -182,6 +176,8 @@ int usage() {
       "[--shards <n>]\n"
       "  soak     [scenario] [--out <dir>] [--bench <file>] [--smoke]\n"
       "           [--chaos-seed <n>] [--rss-limit-mb <n>]\n"
+      "  tail     <log>... [--checkpoint-dir <d>] [--shards <n>] "
+      "[--follow]\n"
       "  tables|export [scenario|spec.json]   (default amadeus_like)\n"
       "  --config <file>       load key=value configuration\n"
       "  --set k=v             inline config override (repeatable)\n"
@@ -189,8 +185,7 @@ int usage() {
       "                        live in spec files (simulate --dump-spec)\n"
       "  --alerts <file>       (analyze) write JSONL alert log\n"
       "  --csv <prefix>        (export) also write CSV files\n"
-      "  --checkpoint <file>   (tail, 1 log) resume/persist ingest position\n"
-      "  --checkpoint-dir <d>  (tail) per-log checkpoints under one dir\n"
+      "  --checkpoint-dir <d>  (tail) resume/persist warm checkpoints here\n"
       "  --shards <n>          (tail) sharded detection, n worker threads\n"
       "  --dispatchers <m>     (tail/simulate, with --shards) dispatcher "
       "threads\n"
@@ -242,10 +237,6 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       const char* prefix = next();
       if (!prefix) return false;
       opts.csv_prefix = prefix;
-    } else if (arg == "--checkpoint") {
-      const char* path = next();
-      if (!path) return false;
-      opts.checkpoint_path = path;
     } else if (arg == "--checkpoint-dir") {
       const char* path = next();
       if (!path) return false;
@@ -617,150 +608,45 @@ void print_detector_summary(const core::JointResults& r) {
   }
 }
 
-/// Per-log checkpoint file inside --checkpoint-dir: the log's path with
-/// every separator flattened for readability, plus a hash of the exact
-/// path so distinct logs can never collide ("/logs/a/b.log" vs
-/// "/logs/a_b.log" flatten identically). Stable across invocations.
-std::string checkpoint_file_for(const std::string& dir,
-                                const std::string& log_path) {
-  std::string name = log_path;
-  for (char& c : name) {
-    if (c == '/' || c == '\\') c = '_';
+/// Tails one or more growing CLF logs through a pipeline::TailSession,
+/// which owns the merge, the sequential or sharded consumer and the
+/// checkpoint directory. This command owns the follow loop, --results and
+/// what is printed.
+int cmd_tail(const CliOptions& opts) {
+  if (opts.inputs.empty()) {
+    std::fprintf(stderr, "tail: missing <log> path\n");
+    return 2;
   }
-  char hash[16];
-  std::snprintf(hash, sizeof hash, ".%08x",
-                util::fnv1a32(log_path));
-  return dir + "/" + name + hash + ".cp.json";
-}
-
-/// Multi-file and/or sharded tail: one LogTailer per input log merged into
-/// a single time-ordered stream (MultiTailer), consumed either by a
-/// sequential ReplayEngine or a ShardedPipeline.
-int cmd_tail_multi(const CliOptions& opts) {
-  std::vector<std::unique_ptr<detectors::Detector>> pool;
-  std::unique_ptr<pipeline::ReplayEngine> engine;
-  std::unique_ptr<pipeline::ShardedPipeline> sharded;
-  util::StringInterner ua_tokens;  // sharded dispatch stamps here
-  pipeline::MultiTailConfig tail_config;
-  tail_config.reorder_window_us =
-      static_cast<std::int64_t>(opts.reorder_ms) * 1000;
-  // Sharded consumption takes the batch seam: the merged stream is framed
-  // into RecordBatches (partial batches flush at every poll, so checkpoint
-  // offsets never cover records hiding in a batch) and whole batches move
-  // through the dispatcher rings. Sequential keeps the per-record sink.
-  const auto make_tailer = [&]() -> pipeline::MultiTailer {
-    if (opts.shards > 1) {
-      sharded = std::make_unique<pipeline::ShardedPipeline>(
-          [&opts] { return pair_from(opts); }, opts.shards,
-          /*batch_size=*/1024, /*max_backlog=*/16 * 1024, opts.dispatchers);
-      return pipeline::MultiTailer(
-          opts.inputs,
-          pipeline::MultiTailer::BatchSink(
-              [&](pipeline::RecordBatch&& batch) {
-                for (auto& record : batch)
-                  record.ua_token = ua_tokens.intern(record.user_agent);
-                sharded->process_batch(std::move(batch));
-              }),
-          /*batch_records=*/1024, tail_config, &sharded->batch_pool());
-    }
-    pool = pair_from(opts);
-    engine = std::make_unique<pipeline::ReplayEngine>(pool);
-    return pipeline::MultiTailer(
-        opts.inputs,
-        [&](httplog::LogRecord&& record) {
-          engine->process_record(std::move(record));
-        },
-        tail_config);
-  };
-  pipeline::MultiTailer tailer = make_tailer();
-
-  // The session file carries the detection-state blob plus the per-log
-  // offsets it covers; the per-log .cp.json files stay operator-visible and
-  // cold-compatible. Blob layout: one mode byte (0 = sequential engine,
-  // 1 = sharded: dispatch interner + per-shard joiners) then that mode's
-  // component states — a sharded snapshot can never be misread by a
-  // sequential resume or vice versa.
-  const std::string session_path =
-      opts.checkpoint_dir.empty()
-          ? std::string()
-          : opts.checkpoint_dir + "/tail_session.state.json";
-  const auto restore_session_state = [&](const std::string& blob) {
-    util::StateReader r(blob);
-    const std::uint8_t mode = r.u8();
-    if (!r.ok() || mode != (sharded ? 1 : 0)) return false;
-    if (sharded) {
-      if (!ua_tokens.load_state(r) || !sharded->load_state(r)) return false;
-    } else if (!engine->load_state(r)) {
-      return false;
-    }
-    return r.at_end();
-  };
-
-  bool warm = false;
-  if (!opts.checkpoint_dir.empty()) {
-    if (const auto session = pipeline::TailSessionState::load(session_path)) {
-      const auto embedded = [&](const std::string& path) {
-        for (const auto& [p, cp] : session->logs)
-          if (p == path) return &cp;
-        return static_cast<const pipeline::Checkpoint*>(nullptr);
-      };
-      bool paths_match = session->logs.size() == tailer.files();
-      for (std::size_t i = 0; paths_match && i < tailer.files(); ++i) {
-        paths_match = embedded(tailer.path(i)) != nullptr;
-      }
-      if (paths_match && !session->state.empty()) {
-        // Resume ingest from the offsets embedded alongside the blob (NOT
-        // the per-log files, which may describe a newer cut): state and
-        // offsets must name the same point in every stream. Only if every
-        // offset is honored is the warm restore attempted — a replaced
-        // file restarts at 0 and would replay records the blob already
-        // counted.
-        bool all_honored = true;
-        for (std::size_t i = 0; i < tailer.files(); ++i) {
-          all_honored &= tailer.resume(i, *embedded(tailer.path(i)));
-        }
-        warm = all_honored && restore_session_state(session->state);
-        if (warm) {
-          for (std::size_t i = 0; i < tailer.files(); ++i) {
-            const auto* cp = embedded(tailer.path(i));
-            std::fprintf(
-                stderr,
-                "resumed %s from %s: offset %llu honored (%llu records "
-                "already ingested; detector state restored warm)\n",
-                tailer.path(i).c_str(), session_path.c_str(),
-                static_cast<unsigned long long>(cp->offset),
-                static_cast<unsigned long long>(cp->parsed));
-          }
-        } else {
-          std::fprintf(stderr,
-                       "warning: cannot restore detector state from %s "
-                       "(replaced log, mode change, or stale blob); "
-                       "detection restarts cold\n",
-                       session_path.c_str());
-        }
-      } else if (!paths_match) {
-        std::fprintf(stderr,
-                     "warning: %s describes a different log set; detection "
-                     "restarts cold\n",
-                     session_path.c_str());
-      }
-    }
-    if (!warm) {
-      for (std::size_t i = 0; i < tailer.files(); ++i) {
-        const auto cp_path =
-            checkpoint_file_for(opts.checkpoint_dir, tailer.path(i));
-        if (const auto cp = pipeline::Checkpoint::load(cp_path)) {
-          const bool honored = tailer.resume(i, *cp);
-          std::fprintf(stderr,
-                       "resumed %s from %s: offset %llu %s (%llu records "
-                       "already ingested; detector state restarts cold)\n",
-                       tailer.path(i).c_str(), cp_path.c_str(),
-                       static_cast<unsigned long long>(cp->offset),
-                       honored ? "honored" : "discarded (file replaced)",
-                       static_cast<unsigned long long>(cp->parsed));
-        }
-      }
-    }
+  pipeline::TailSession session(
+      opts.inputs, [&opts] { return pair_from(opts); }, opts.shards,
+      opts.dispatchers, static_cast<std::int64_t>(opts.reorder_ms) * 1000,
+      opts.checkpoint_dir);
+  const auto resumed = session.resume();
+  if (resumed.dir_errno != 0) {
+    std::fprintf(stderr, "tail: cannot create checkpoint dir %s: %s\n",
+                 opts.checkpoint_dir.c_str(), std::strerror(resumed.dir_errno));
+    return 1;
+  }
+  using SessionBlob = pipeline::TailSession::SessionBlob;
+  if (resumed.session == SessionBlob::kOtherLogSet ||
+      resumed.session == SessionBlob::kRejected) {
+    std::fprintf(stderr,
+                 "warning: cannot restore detector state from %s (%s); "
+                 "detection restarts cold\n",
+                 session.session_path().c_str(),
+                 resumed.session == SessionBlob::kOtherLogSet
+                     ? "it describes a different log set"
+                     : "replaced log, mode change, or stale blob");
+  }
+  for (const auto& log : resumed.logs) {
+    std::fprintf(stderr,
+                 "resumed %s from %s: offset %llu %s (%llu records already "
+                 "ingested; detector state %s)\n",
+                 opts.inputs[log.file].c_str(), log.from.c_str(),
+                 static_cast<unsigned long long>(log.offset),
+                 log.honored ? "honored" : "discarded (file replaced)",
+                 static_cast<unsigned long long>(log.parsed),
+                 resumed.warm() ? "restored warm" : "restarts cold");
   }
   if (opts.follow) std::signal(SIGINT, tail_sigint);
   if (!opts.results_path.empty() && opts.shards > 1) {
@@ -770,47 +656,12 @@ int cmd_tail_multi(const CliOptions& opts) {
   }
 
   const auto persist = [&]() {
-    // Checkpoint offsets cover decoded records, so every one of them must
-    // be truly processed first: flush the reorder heap into the sink, and
-    // in sharded mode also drain the shard queues (a crash between the
-    // checkpoint save and the workers would otherwise lose queued records
-    // that resume then skips).
-    (void)tailer.flush();
-    if (sharded) sharded->drain();
-    if (!opts.checkpoint_dir.empty()) {
-      for (std::size_t i = 0; i < tailer.files(); ++i) {
-        const auto cp_path =
-            checkpoint_file_for(opts.checkpoint_dir, tailer.path(i));
-        if (!tailer.checkpoint(i).save(cp_path)) {
-          std::fprintf(stderr, "cannot save checkpoint %s\n",
-                       cp_path.c_str());
-        }
-      }
-      // Session file last (see TailSessionState): a crash after the per-log
-      // saves but before this leaves an older-but-consistent warm snapshot.
-      util::StateWriter w;
-      w.u8(sharded ? 1 : 0);
-      bool have_state;
-      if (sharded) {
-        ua_tokens.save_state(w);
-        have_state = sharded->save_state(w);
-      } else {
-        have_state = engine->save_state(w);
-      }
-      if (have_state) {
-        pipeline::TailSessionState session;
-        for (std::size_t i = 0; i < tailer.files(); ++i) {
-          session.logs.emplace_back(tailer.path(i), tailer.checkpoint(i));
-        }
-        session.state = w.take();
-        if (!session.save(session_path)) {
-          std::fprintf(stderr, "cannot save session state %s\n",
-                       session_path.c_str());
-        }
-      }
+    for (const auto& path : session.persist()) {
+      std::fprintf(stderr, "cannot save checkpoint %s\n", path.c_str());
     }
-    if (engine && !opts.results_path.empty() &&
-        !flush_results(engine->results(), opts.results_path)) {
+    const core::JointResults* results = session.live_results();
+    if (results && !opts.results_path.empty() &&
+        !flush_results(*results, opts.results_path)) {
       std::fprintf(stderr, "cannot write results %s\n",
                    opts.results_path.c_str());
     }
@@ -821,6 +672,7 @@ int cmd_tail_multi(const CliOptions& opts) {
   // stall the dispatcher, all for no durable artifact.
   const bool persist_output =
       !opts.checkpoint_dir.empty() || !opts.results_path.empty();
+  pipeline::MultiTailer& tailer = session.tailer();
   std::uint64_t last_flush_parsed = 0;
   int idle_polls = 0;
   for (;;) {
@@ -862,112 +714,13 @@ int cmd_tail_multi(const CliOptions& opts) {
       static_cast<unsigned long long>(tailer.read_errors()),
       static_cast<unsigned long long>(tailer.late_records()),
       static_cast<unsigned long long>(tailer.forced_emits()));
-  if (engine) {
-    print_detector_summary(engine->results());
-  } else {
-    const auto results = sharded->finish();
-    if (!opts.results_path.empty() &&
-        !flush_results(results, opts.results_path)) {
-      std::fprintf(stderr, "cannot write results %s\n",
-                   opts.results_path.c_str());
-    }
-    print_detector_summary(results);
+  const auto results = session.finish();
+  if (opts.shards > 1 && !opts.results_path.empty() &&
+      !flush_results(results, opts.results_path)) {
+    std::fprintf(stderr, "cannot write results %s\n",
+                 opts.results_path.c_str());
   }
-  return 0;
-}
-
-int cmd_tail(const CliOptions& opts) {
-  if (opts.input.empty()) {
-    std::fprintf(stderr, "tail: missing <log> path\n");
-    return 2;
-  }
-  if (opts.inputs.size() > 1 || opts.shards > 1 ||
-      !opts.checkpoint_dir.empty()) {
-    if (!opts.checkpoint_path.empty()) {
-      std::fprintf(stderr,
-                   "tail: use --checkpoint-dir (not --checkpoint) with "
-                   "multiple logs or --shards\n");
-      return 2;
-    }
-    return cmd_tail_multi(opts);
-  }
-  const auto pool = pair_from(opts);
-  pipeline::ReplayEngine engine(pool);
-  pipeline::LogTailer tailer(opts.input, engine);
-
-  if (!opts.checkpoint_path.empty()) {
-    if (const auto cp = pipeline::Checkpoint::load(opts.checkpoint_path)) {
-      const bool honored = tailer.resume(*cp);
-      // Warm restore only behind an honored offset: a discarded offset
-      // re-ingests from 0, and records the blob already counted would be
-      // scored twice.
-      bool warm = false;
-      if (honored && !cp->state.empty()) {
-        util::StateReader r(cp->state);
-        warm = engine.load_state(r) && r.at_end();
-        if (!warm) {
-          std::fprintf(stderr,
-                       "warning: cannot restore detector state from %s "
-                       "(stale or damaged blob); detection restarts cold\n",
-                       opts.checkpoint_path.c_str());
-        }
-      }
-      std::fprintf(stderr,
-                   "resumed from %s: offset %llu %s (%llu records already "
-                   "ingested; detector state %s)\n",
-                   opts.checkpoint_path.c_str(),
-                   static_cast<unsigned long long>(cp->offset),
-                   honored ? "honored" : "discarded (file replaced)",
-                   static_cast<unsigned long long>(cp->parsed),
-                   warm ? "restored warm" : "restarts cold");
-    }
-  }
-  if (opts.follow) std::signal(SIGINT, tail_sigint);
-
-  const auto persist = [&]() {
-    if (!opts.checkpoint_path.empty()) {
-      pipeline::Checkpoint cp = tailer.checkpoint();
-      util::StateWriter w;
-      if (engine.save_state(w)) cp.state = w.take();
-      if (!cp.save(opts.checkpoint_path)) {
-        std::fprintf(stderr, "cannot save checkpoint %s\n",
-                     opts.checkpoint_path.c_str());
-      }
-    }
-    if (!opts.results_path.empty() &&
-        !flush_results(engine.results(), opts.results_path)) {
-      std::fprintf(stderr, "cannot write results %s\n",
-                   opts.results_path.c_str());
-    }
-  };
-
-  std::uint64_t last_flush_parsed = 0;
-  for (;;) {
-    const std::size_t consumed = tailer.poll();
-    if (engine.stats().parsed - last_flush_parsed >= opts.flush_every) {
-      last_flush_parsed = engine.stats().parsed;
-      persist();
-    }
-    if (!opts.follow) break;  // one drain: batch-catch-up semantics
-    if (g_tail_interrupted) break;
-    if (consumed == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
-    }
-  }
-  persist();
-
-  const auto cp = tailer.checkpoint();
-  std::printf(
-      "tailed %s: %s records parsed, %s lines skipped, %llu rotations, "
-      "%llu truncations, %llu lost incarnations, %llu read errors%s\n",
-      opts.input.c_str(), core::with_thousands(cp.parsed).c_str(),
-      core::with_thousands(cp.skipped).c_str(),
-      static_cast<unsigned long long>(cp.rotations),
-      static_cast<unsigned long long>(cp.truncations),
-      static_cast<unsigned long long>(cp.lost_incarnations),
-      static_cast<unsigned long long>(tailer.read_errors()),
-      engine.has_partial_line() ? " (1 partial line held un-ingested)" : "");
-  print_detector_summary(engine.results());
+  print_detector_summary(results);
   return 0;
 }
 
