@@ -1,10 +1,11 @@
 // Component microbenchmarks (google-benchmark; optional build). Measures
 // the operational cost of each stage of the two-tool deployment: CLF
-// parse/format, per-request detector evaluation, traffic generation, and
-// the end-to-end joined pipeline.
+// parse/format, per-request detector evaluation, alert-log writing, traffic
+// generation, and the end-to-end joined pipeline.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "core/joiner.hpp"
@@ -12,6 +13,7 @@
 #include "detectors/registry.hpp"
 #include "detectors/sentinel.hpp"
 #include "httplog/clf.hpp"
+#include "pipeline/alert_log.hpp"
 #include "workload/catalog.hpp"
 #include "workload/engine.hpp"
 
@@ -112,6 +114,48 @@ void BM_ClfParseReference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ClfParseReference);
+
+/// One alert as the analyze loop hands it to the writer.
+struct SampleAlert {
+  std::string_view detector;
+  const httplog::LogRecord* record;
+  detectors::Verdict verdict;
+};
+
+// The sample slice run through the paper pair, alerting verdicts only.
+const std::vector<SampleAlert>& sample_alerts() {
+  static const auto pool = detectors::make_paper_pair();
+  static const auto alerts = [] {
+    std::vector<SampleAlert> out;
+    for (const auto& r : sample_records()) {
+      for (const auto& detector : pool) {
+        const auto verdict = detector->evaluate(r);
+        if (verdict.alert) out.push_back({detector->name(), &r, verdict});
+      }
+    }
+    return out;
+  }();
+  return alerts;
+}
+
+void BM_AlertLogWrite(benchmark::State& state) {
+  // The analyze --alerts emit shape: one warm AlertLogWriter (line buffer
+  // grown, memos filled) writing into a reused stream.
+  const auto& alerts = sample_alerts();
+  std::ostringstream os;
+  pipeline::AlertLogWriter writer(os);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& a = alerts[i];
+    benchmark::DoNotOptimize(writer.write(a.detector, *a.record, a.verdict));
+    if (++i == alerts.size()) {
+      i = 0;
+      os.seekp(0);  // rewrite the same stream buffer, no regrowth
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AlertLogWrite);
 
 void BM_SentinelEvaluate(benchmark::State& state) {
   const auto& records = sample_records();

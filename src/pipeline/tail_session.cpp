@@ -92,9 +92,18 @@ bool TailSession::restore(const std::string& blob) {
 TailSession::ResumeReport TailSession::resume() {
   ResumeReport report;
   if (checkpoint_dir_.empty()) return report;
-  if (::mkdir(checkpoint_dir_.c_str(), 0755) != 0 && errno != EEXIST) {
-    report.dir_errno = errno;
-    return report;
+  if (::mkdir(checkpoint_dir_.c_str(), 0755) != 0) {
+    // EEXIST also covers a regular file of that name, where every persist
+    // would fail: only an existing directory will do.
+    struct stat st {};
+    if (errno != EEXIST || ::stat(checkpoint_dir_.c_str(), &st) != 0) {
+      report.dir_errno = errno;
+      return report;
+    }
+    if (!S_ISDIR(st.st_mode)) {
+      report.dir_errno = ENOTDIR;
+      return report;
+    }
   }
   if (const auto session = TailSessionState::load(session_path_)) {
     std::vector<const Checkpoint*> embedded(paths_.size(), nullptr);

@@ -65,8 +65,9 @@ class TailSession {
   };
 
   struct ResumeReport {
-    /// Nonzero: the checkpoint directory could not be created (errno);
-    /// nothing was resumed.
+    /// Nonzero: the checkpoint directory could not be created (errno), or
+    /// the path names something other than a directory (ENOTDIR); nothing
+    /// was resumed.
     int dir_errno = 0;
     SessionBlob session = SessionBlob::kAbsent;
     std::vector<ResumedLog> logs;

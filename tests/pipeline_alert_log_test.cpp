@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "pipeline/alert_log.hpp"
 
@@ -89,6 +90,47 @@ TEST(AlertLog, ReaderSkipsGarbage) {
   while (reader.next(event)) ++count;
   EXPECT_EQ(count, 1);
   EXPECT_EQ(reader.lines_skipped(), 2u);
+}
+
+// The reader inverts the writer for every byte json_escape touches: the
+// short escapes (\b \f \n \r \t \" \\), \u00XX for the other control
+// bytes, and the raw bytes 0x7f..0xff.
+TEST(AlertLog, EscapedBytesRoundTrip) {
+  std::string all;
+  for (int c = 0x01; c <= 0x1f; ++c) all += static_cast<char>(c);
+  for (int c = 0x7f; c <= 0xff; ++c) all += static_cast<char>(c);
+  const std::string short_escapes("/a\x01" "b\bc\fd\\e\"f");
+  ASSERT_EQ(short_escapes.size(), 12u);
+  for (const std::string& target : {short_escapes, "/" + all + "\"\\"}) {
+    std::ostringstream os;
+    AlertLogWriter writer(os);
+    auto record = sample_record();
+    record.target = target;
+    ASSERT_TRUE(writer.write("d" + all, record,
+                             {true, 0.5, AlertReason::kTrap}));
+    const auto event = parse_alert_line(os.str());
+    ASSERT_TRUE(event.has_value()) << os.str();
+    EXPECT_EQ(event->target, target);
+    EXPECT_EQ(event->detector, "d" + all);
+    EXPECT_EQ(event->reason, "trap");
+  }
+}
+
+TEST(AlertLog, UnicodeEscapesDecodeAndForeignEscapesReject) {
+  const std::string head =
+      "{\"detector\":\"d\",\"ip\":\"1.2.3.4\",\"time_us\":1,\"status\":200,"
+      "\"score\":null,\"reason\":\"r\",\"target\":\"";
+  const auto event = parse_alert_line(head + "\\u0041\\u007f\\/\"}");
+  ASSERT_TRUE(event.has_value());
+  EXPECT_EQ(event->target, "A\x7f/");
+  EXPECT_EQ(event->score, 0.0);  // a non-finite score is written as null
+  // json_escape writes \u only for control bytes; a wider code point, like
+  // a malformed escape, is not this writer's output.
+  EXPECT_FALSE(parse_alert_line(head + "\\u00e9\"}").has_value());
+  EXPECT_FALSE(parse_alert_line(head + "\\x41\"}").has_value());
+  EXPECT_FALSE(parse_alert_line(head + "\\u00g1\"}").has_value());
+  EXPECT_FALSE(parse_alert_line(head + "\\u00").has_value());
+  EXPECT_FALSE(parse_alert_line(head + "unterminated").has_value());
 }
 
 TEST(AlertLog, BadIpRejected) {

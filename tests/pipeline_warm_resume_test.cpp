@@ -462,7 +462,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // resume() creates a missing checkpoint dir, and reports (errno) one it
-// cannot create instead of tailing with nowhere to persist.
+// cannot create, or a path that is not a directory, instead of tailing with
+// nowhere to persist.
 TEST(WarmResumeSessionDir, MissingDirIsCreatedAndUncreatableIsReported) {
   MultiLogs logs("dir_logs");
   logs.write_range(0, 100);
@@ -482,6 +483,10 @@ TEST(WarmResumeSessionDir, MissingDirIsCreatedAndUncreatableIsReported) {
       logs.paths, [] { return detectors::make_paper_pair(); }, 1, 1, 0,
       logs.paths[0] + "/cp");  // under a regular file
   EXPECT_EQ(session.resume().dir_errno, ENOTDIR);
+  pipeline::TailSession on_file(
+      logs.paths, [] { return detectors::make_paper_pair(); }, 1, 1, 0,
+      logs.paths[1]);  // a regular file itself: mkdir says EEXIST
+  EXPECT_EQ(on_file.resume().dir_errno, ENOTDIR);
 }
 
 // A session file written for another set of logs restores nothing; every

@@ -562,6 +562,15 @@ int cmd_analyze(const CliOptions& opts) {
       }
     }
   }
+  // A failed write (a full disk) only marks the stream bad, and the last
+  // buffered lines reach the file at close: check after closing.
+  if (alerts) {
+    alerts_file.close();
+    if (!alerts_file) {
+      std::fprintf(stderr, "cannot write %s\n", opts.alerts_path.c_str());
+      return 1;
+    }
+  }
   const auto& r = joiner.results();
   std::printf("parsed %s records (%s lines skipped)\n",
               core::with_thousands(r.total_requests()).c_str(),
